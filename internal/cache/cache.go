@@ -11,7 +11,7 @@
 // measurement depends on:
 //
 //   - a schema version (bump SchemaVersion whenever the simulator,
-//     workload models, or trace format change semantically — that is the
+//     workload models, or entry format change semantically — that is the
 //     only invalidation rule besides deleting the directory),
 //   - the suite name and every workload spec — rendered through the
 //     workload codec's canonical JSON, which tags every access pattern
@@ -25,11 +25,29 @@
 //   - the full machine configuration (cache geometry, TLB, predictor,
 //     prefetcher, latencies — a microarchitectural change must miss).
 //
-// Entries are stored as <dir>/<hex key>.json in the trace JSON format,
-// which round-trips float64 series bit-exactly (encoding/json emits the
-// shortest representation that parses back to the same bits), so scores
-// computed from a warm cache are bit-identical to a cold run — enforced
-// by TestScoreDeterminismColdVsWarmCache.
+// # Entry format
+//
+// Entries are stored as <dir>/<hex key>.gob: the encoding/gob rendering
+// of a perf.SuiteMeasurement. gob writes a float64 as its IEEE-754 bits,
+// so series round-trip bit-exactly and scores computed from a warm cache
+// are bit-identical to a cold run — enforced by
+// TestScoreDeterminismColdVsWarmCache. Entries are gob and not trace
+// JSON because parsing float text was a third of a warm compare: reading
+// the six stock suites' entries (BenchmarkStoreGet, 2-vCPU Xeon VM)
+// takes 30–48 ms, 7.6 MB and 16.8k allocs as JSON against 3.3–4.3 ms,
+// 2.4 MB and 6.9k allocs as gob. Trace JSON remains the user-facing
+// interchange format (ExportJSON, ImportJSON, trace files); the entry
+// format is private to this package, so it uses the cheapest
+// standard-library codec that carries the type as is.
+//
+// Schema version 3 introduced the gob entries. Older *.json entries are
+// orphaned, not migrated: their keys hash a different schema version, so
+// Get never opens them, and they are safe to delete.
+//
+// Get decodes an entry and then checks it with SuiteMeasurement.Validate,
+// the same structural checks trace.ReadJSON applies, so a corrupt file
+// cannot hand the scorer a shape an imported trace could not. An entry
+// that fails either step is a miss and is removed.
 //
 // A nil *Store is a valid pass-through: Get always misses and Put is a
 // no-op, which lets callers thread one variable through -no-cache paths.
@@ -38,6 +56,7 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -46,16 +65,15 @@ import (
 
 	"perspector/internal/perf"
 	"perspector/internal/suites"
-	"perspector/internal/trace"
 	"perspector/internal/workload"
 )
 
 // SchemaVersion invalidates every existing entry when bumped. It must
-// change whenever the simulator, the workload models, or the trace
+// change whenever the simulator, the workload models, or the entry
 // format change the bytes a measurement serializes to — or, as with the
 // move to canonical spec JSON in the key, when the key scheme itself
-// changes.
-const SchemaVersion = 2
+// changes. Version 3 moved entries from trace JSON to gob.
+const SchemaVersion = 3
 
 // Store is an on-disk measurement cache rooted at one directory.
 type Store struct {
@@ -121,25 +139,27 @@ func RingPoint(key string) uint64 {
 
 // path returns the entry file for a key.
 func (st *Store) path(key string) string {
-	return filepath.Join(st.dir, key+".json")
+	return filepath.Join(st.dir, key+".gob")
 }
 
 // Get returns the cached measurement for key, or (nil, false) on a miss.
-// Unreadable or corrupt entries count as misses and are removed.
+// Unreadable, undecodable or invalid entries count as misses and are
+// removed.
 func (st *Store) Get(key string) (*perf.SuiteMeasurement, bool) {
 	if st == nil {
 		return nil, false
 	}
-	f, err := os.Open(st.path(key))
+	path := st.path(key)
+	f, err := os.Open(path)
 	if err != nil {
 		st.misses.Add(1)
 		return nil, false
 	}
 	defer f.Close()
-	m, err := trace.ReadJSON(f)
-	if err != nil {
-		// A torn or stale-schema entry: drop it so the slot heals.
-		os.Remove(st.path(key))
+	m := new(perf.SuiteMeasurement)
+	if err := gob.NewDecoder(f).Decode(m); err != nil || m.Validate() != nil {
+		// A corrupt entry: drop it so the slot heals.
+		os.Remove(path)
 		st.misses.Add(1)
 		return nil, false
 	}
@@ -158,7 +178,7 @@ func (st *Store) Put(key string, m *perf.SuiteMeasurement) error {
 		return fmt.Errorf("cache: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := trace.WriteJSON(tmp, m); err != nil {
+	if err := gob.NewEncoder(tmp).Encode(m); err != nil {
 		tmp.Close()
 		return fmt.Errorf("cache: %w", err)
 	}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -8,7 +10,9 @@ import (
 	"sync"
 	"testing"
 
+	"perspector/internal/perf"
 	"perspector/internal/suites"
+	"perspector/internal/trace"
 	"perspector/internal/workload"
 )
 
@@ -19,35 +23,56 @@ func smallConfig() suites.Config {
 	return cfg
 }
 
+// suite builds a registered suite under cfg.
+func suite(t testing.TB, name string, cfg suites.Config) suites.Suite {
+	t.Helper()
+	s, err := suites.ByName(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// onlyEntry returns the path of the single entry in a cache directory,
+// so tests need not know how entries are named.
+func onlyEntry(t *testing.T, dir string) string {
+	t.Helper()
+	entries, err := filepath.Glob(filepath.Join(dir, "*"))
+	if err != nil || len(entries) != 1 {
+		t.Fatalf("cache dir holds %v (%v), want one entry", entries, err)
+	}
+	return entries[0]
+}
+
 func TestKeyIsStableAndSensitive(t *testing.T) {
 	cfg := smallConfig()
-	s := suites.Nbench(cfg)
-	base := Key(s, cfg)
-	if base != Key(suites.Nbench(cfg), cfg) {
+	nbench := func(cfg suites.Config) string { return Key(suite(t, "nbench", cfg), cfg) }
+	base := nbench(cfg)
+	if base != nbench(cfg) {
 		t.Fatal("key not deterministic for identical inputs")
 	}
 
 	seeded := cfg
 	seeded.Seed++
-	if Key(suites.Nbench(seeded), seeded) == base {
+	if nbench(seeded) == base {
 		t.Fatal("seed change did not change the key")
 	}
 	sampled := cfg
 	sampled.Samples++
-	if Key(suites.Nbench(sampled), sampled) == base {
+	if nbench(sampled) == base {
 		t.Fatal("sample-count change did not change the key")
 	}
 	machined := cfg
 	machined.Machine.NextLinePrefetch = !machined.Machine.NextLinePrefetch
-	if Key(suites.Nbench(machined), machined) == base {
+	if nbench(machined) == base {
 		t.Fatal("machine-config change did not change the key")
 	}
-	if Key(suites.LMbench(cfg), cfg) == base {
+	if Key(suite(t, "lmbench", cfg), cfg) == base {
 		t.Fatal("different suite did not change the key")
 	}
 	totals := cfg
 	totals.TotalsOnly = true
-	if Key(suites.Nbench(totals), totals) == base {
+	if nbench(totals) == base {
 		t.Fatal("totals-only change did not change the key")
 	}
 }
@@ -77,7 +102,7 @@ func TestKeyDistinguishesPatternKinds(t *testing.T) {
 
 func TestStoreRoundTrip(t *testing.T) {
 	cfg := smallConfig()
-	s := suites.Nbench(cfg)
+	s := suite(t, "nbench", cfg)
 	st, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -114,20 +139,24 @@ func TestStoreRoundTrip(t *testing.T) {
 
 func TestCorruptEntryHealsAsMiss(t *testing.T) {
 	cfg := smallConfig()
-	s := suites.Nbench(cfg)
+	s := suite(t, "nbench", cfg)
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	key := Key(s, cfg)
-	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{not json"), 0o644); err != nil {
+	if err := st.Put(key, tinyMeasurement()); err != nil {
+		t.Fatal(err)
+	}
+	entry := onlyEntry(t, dir)
+	if err := os.WriteFile(entry, []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Get(key); ok {
 		t.Fatal("corrupt entry served as hit")
 	}
-	if _, err := os.Stat(filepath.Join(dir, key+".json")); !os.IsNotExist(err) {
+	if _, err := os.Stat(entry); !os.IsNotExist(err) {
 		t.Fatal("corrupt entry not removed")
 	}
 	// The slot heals: a Measure fills it and the next Get hits.
@@ -147,7 +176,7 @@ func TestCorruptEntryHealsAsMiss(t *testing.T) {
 // away). Rename must also leave no temp files behind.
 func TestPutIsAtomicUnderConcurrentReaders(t *testing.T) {
 	cfg := smallConfig()
-	s := suites.Nbench(cfg)
+	s := suite(t, "nbench", cfg)
 	dir := t.TempDir()
 	st, err := Open(dir)
 	if err != nil {
@@ -182,7 +211,7 @@ func TestPutIsAtomicUnderConcurrentReaders(t *testing.T) {
 				got, ok := st.Get(key)
 				if !ok {
 					// Would mean a reader caught the entry mid-write:
-					// ReadJSON failed and Get healed the file away.
+					// decoding failed and Get healed the file away.
 					select {
 					case errs <- fmt.Errorf("reader observed a torn or missing entry"):
 					default:
@@ -236,7 +265,7 @@ func TestPutIsAtomicUnderConcurrentReaders(t *testing.T) {
 func TestNilStorePassThrough(t *testing.T) {
 	var st *Store
 	cfg := smallConfig()
-	m, err := st.Measure(suites.Nbench(cfg), cfg)
+	m, err := st.Measure(suite(t, "nbench", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,5 +286,151 @@ func TestNilStorePassThrough(t *testing.T) {
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Fatal("empty dir accepted")
+	}
+}
+
+// tinyMeasurement is a small valid measurement with full series.
+func tinyMeasurement() *perf.SuiteMeasurement {
+	sm := &perf.SuiteMeasurement{Suite: "tiny"}
+	for w := 0; w < 3; w++ {
+		m := perf.Measurement{Workload: fmt.Sprintf("tiny.w%d", w)}
+		m.Series.Interval = 1000
+		for c := range m.Totals {
+			m.Totals[c] = uint64(1000*w + c)
+			m.Series.Samples[c] = []float64{float64(w), float64(c), 0.1 * float64(w+c), 1e300}
+		}
+		sm.Workloads = append(sm.Workloads, m)
+	}
+	return sm
+}
+
+// TestEntryReadersRejectTheSameShapes sends each structurally invalid
+// measurement through both encodings a measurement is read back from: a
+// trace JSON import and a cache entry. Neither may accept it, so the
+// cache cannot hand the scorer a shape an imported trace could not.
+func TestEntryReadersRejectTheSameShapes(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mutate func(*perf.SuiteMeasurement)
+		valid  bool
+	}{
+		{name: "valid", mutate: func(*perf.SuiteMeasurement) {}, valid: true},
+		{name: "unsampled counter", valid: true, mutate: func(sm *perf.SuiteMeasurement) {
+			sm.Workloads[1].Series.Samples[perf.LLCLoads] = nil
+		}},
+		{name: "no suite name", mutate: func(sm *perf.SuiteMeasurement) { sm.Suite = "" }},
+		{name: "unnamed workload", mutate: func(sm *perf.SuiteMeasurement) { sm.Workloads[2].Workload = "" }},
+		{name: "ragged series", mutate: func(sm *perf.SuiteMeasurement) {
+			s := &sm.Workloads[0].Series.Samples[perf.BranchMisses]
+			*s = (*s)[:len(*s)-1]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sm := tinyMeasurement()
+			tc.mutate(sm)
+			if err := sm.Validate(); (err == nil) != tc.valid {
+				t.Fatalf("Validate = %v, want valid=%v", err, tc.valid)
+			}
+
+			var buf bytes.Buffer
+			if err := trace.WriteJSON(&buf, sm); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := trace.ReadJSON(&buf); (err == nil) != tc.valid {
+				t.Errorf("trace.ReadJSON = %v, want valid=%v", err, tc.valid)
+			}
+
+			dir := t.TempDir()
+			st, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Put("k", sm); err != nil {
+				t.Fatal(err)
+			}
+			got, ok := st.Get("k")
+			if ok != tc.valid {
+				t.Fatalf("Store.Get hit=%v, want %v", ok, tc.valid)
+			}
+			if ok && !reflect.DeepEqual(got, sm) {
+				t.Error("cache entry did not round-trip")
+			}
+			if !ok {
+				if entries, _ := filepath.Glob(filepath.Join(dir, "*")); len(entries) != 0 {
+					t.Errorf("rejected entry not removed: %v", entries)
+				}
+			}
+		})
+	}
+}
+
+// FuzzCacheGet writes arbitrary bytes as a cache entry. Get must never
+// panic: it either misses and removes the entry, or returns a
+// measurement that passes Validate.
+func FuzzCacheGet(f *testing.F) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(tinyMeasurement()); err != nil {
+		f.Fatal(err)
+	}
+	valid := buf.Bytes()
+	f.Add(valid)
+	f.Add(valid[:len(valid)/2])
+	f.Add([]byte{})
+	f.Add([]byte("{not gob"))
+	st, err := Open(f.TempDir())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		const key = "fuzz"
+		if err := os.WriteFile(st.path(key), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		m, ok := st.Get(key)
+		if !ok {
+			if _, err := os.Stat(st.path(key)); !os.IsNotExist(err) {
+				t.Fatalf("missed entry not removed: %v", err)
+			}
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("Get returned an invalid measurement: %v", err)
+		}
+	})
+}
+
+// stockMeasurements simulates the six stock suites at the default
+// config once per process: the entries a warm `perspector compare` reads.
+var stockMeasurements = sync.OnceValues(func() ([]*perf.SuiteMeasurement, error) {
+	return suites.RunAll(suites.DefaultConfig())
+})
+
+// BenchmarkStoreGet reads the six stock-suite entries back per op.
+func BenchmarkStoreGet(b *testing.B) {
+	sms, err := stockMeasurements()
+	if err != nil {
+		b.Fatal(err)
+	}
+	st, err := Open(b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := suites.DefaultConfig()
+	var keys []string
+	for i, s := range suites.All(cfg) {
+		key := Key(s, cfg)
+		if err := st.Put(key, sms[i]); err != nil {
+			b.Fatal(err)
+		}
+		keys = append(keys, key)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, key := range keys {
+			if _, ok := st.Get(key); !ok {
+				b.Fatalf("miss on %s", key)
+			}
+		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -99,16 +100,16 @@ func scoreRequest(suite string) jobs.Request {
 	return jobs.Request{Kind: store.KindScore, Suites: []string{suite}}
 }
 
-// startWorker builds a full worker node (stub-runner queue + JSONL
+// startWorker builds a full worker node (a queue running run + JSONL
 // replica) against the coordinator URL and runs it until the returned
 // stop function is called; stop blocks through the graceful drain.
-func startWorker(t *testing.T, url, id string, capacity int) (stop func(), st *store.Store) {
+func startWorker(t *testing.T, url, id string, capacity int, run jobs.Runner) (stop func(), st *store.Store) {
 	t.Helper()
 	st, err := store.Open(t.TempDir())
 	if err != nil {
 		t.Fatalf("open worker store: %v", err)
 	}
-	q := jobs.New(stubRunner, jobs.Options{Workers: capacity, MaxQueue: 256, Store: st})
+	q := jobs.New(run, jobs.Options{Workers: capacity, MaxQueue: 256, Store: st})
 	w, err := NewWorker(WorkerOptions{
 		Coordinator: url,
 		NodeID:      id,
@@ -328,9 +329,27 @@ func TestFleetEndToEndThroughWorkers(t *testing.T) {
 		queue.Drain(ctx)
 	}()
 
-	stop1, st1 := startWorker(t, srv.URL, "w1", 2)
-	stop2, st2 := startWorker(t, srv.URL, "w2", 2)
+	// parsec's first run is held until its duplicate has been submitted:
+	// a stub that finished first would turn the duplicate into a replay
+	// from the store, and the in-flight dedup path would go untested.
+	duplicated := make(chan struct{})
+	release := sync.OnceFunc(func() { close(duplicated) })
+	gated := func(ctx context.Context, h *jobs.Handle) (store.ScoreSet, error) {
+		if h.Request().Suites[0] == "parsec" {
+			select {
+			case <-duplicated:
+			case <-ctx.Done():
+				return store.ScoreSet{}, ctx.Err()
+			}
+		}
+		return stubRunner(ctx, h)
+	}
+	stop1, st1 := startWorker(t, srv.URL, "w1", 2, gated)
+	stop2, st2 := startWorker(t, srv.URL, "w2", 2, gated)
 	defer stop2()
+	// A failed submission below must not leave parsec parked through the
+	// workers' graceful drain.
+	defer release()
 
 	waitFor(t, "both workers joined", func() bool { return c.Peers() == 2 })
 	if got := c.Capacity(); got != 4 {
@@ -351,7 +370,9 @@ func TestFleetEndToEndThroughWorkers(t *testing.T) {
 		}
 		ids = append(ids, snap.ID)
 	}
-	if _, deduped, err := queue.Submit(scoreRequest("parsec")); err != nil || !deduped {
+	_, deduped, err := queue.Submit(scoreRequest("parsec"))
+	release()
+	if err != nil || !deduped {
 		t.Fatalf("duplicate parsec submission: deduped=%v err=%v", deduped, err)
 	}
 
@@ -435,7 +456,7 @@ func TestWorkerLifecycleGoroutineLeaks(t *testing.T) {
 
 	// Warm one full join/execute/drain cycle so lazy pools (HTTP
 	// transport keep-alives, timer goroutines) exist before the baseline.
-	warmStop, _ := startWorker(t, srv.URL, "warm", 1)
+	warmStop, _ := startWorker(t, srv.URL, "warm", 1, stubRunner)
 	snap, _, err := queue.Submit(scoreRequest("parsec"))
 	if err != nil {
 		t.Fatal(err)
@@ -461,7 +482,7 @@ func TestWorkerLifecycleGoroutineLeaks(t *testing.T) {
 	before := settle()
 
 	for round := 0; round < 3; round++ {
-		stop, _ := startWorker(t, srv.URL, fmt.Sprintf("cycle-%d", round), 2)
+		stop, _ := startWorker(t, srv.URL, fmt.Sprintf("cycle-%d", round), 2, stubRunner)
 		waitFor(t, "cycle worker joined", func() bool { return c.Peers() == 1 })
 		snap, _, err := queue.Submit(scoreRequest("spec17"))
 		if err != nil {

@@ -207,6 +207,36 @@ func (sm *SuiteMeasurement) SeriesFor(c Counter) [][]float64 {
 	return out
 }
 
+// Validate checks the structure every reader of a stored or imported
+// measurement must enforce, whatever the encoding it came from: the
+// suite is named, every workload is named, and within one workload every
+// counter that carries samples carries the same number of them. A
+// counter without samples is allowed (a trace may sample only some
+// counters; TrendScore reports the gap if it needs that counter).
+func (sm *SuiteMeasurement) Validate() error {
+	if sm.Suite == "" {
+		return fmt.Errorf("perf: measurement has no suite name")
+	}
+	for i := range sm.Workloads {
+		m := &sm.Workloads[i]
+		if m.Workload == "" {
+			return fmt.Errorf("perf: workload %d has no name", i)
+		}
+		n := 0
+		for _, s := range m.Series.Samples {
+			if len(s) == 0 {
+				continue
+			}
+			if n == 0 {
+				n = len(s)
+			} else if len(s) != n {
+				return fmt.Errorf("perf: workload %q has ragged series", m.Workload)
+			}
+		}
+	}
+	return nil
+}
+
 // Names returns the workload names in order.
 func (sm *SuiteMeasurement) Names() []string {
 	out := make([]string, len(sm.Workloads))

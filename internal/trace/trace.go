@@ -82,9 +82,6 @@ func ReadJSON(r io.Reader) (*perf.SuiteMeasurement, error) {
 	if in.Version != Version {
 		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", in.Version, Version)
 	}
-	if in.Suite == "" {
-		return nil, fmt.Errorf("trace: missing suite name")
-	}
 	counters := make([]perf.Counter, len(in.Counters))
 	for i, name := range in.Counters {
 		c, err := perf.ParseCounter(name)
@@ -94,10 +91,7 @@ func ReadJSON(r io.Reader) (*perf.SuiteMeasurement, error) {
 		counters[i] = c
 	}
 	sm := &perf.SuiteMeasurement{Suite: in.Suite}
-	for wi, jw := range in.Workloads {
-		if jw.Name == "" {
-			return nil, fmt.Errorf("trace: workload %d has no name", wi)
-		}
+	for _, jw := range in.Workloads {
 		if len(jw.Totals) != len(counters) {
 			return nil, fmt.Errorf("trace: workload %q has %d totals for %d counters",
 				jw.Name, len(jw.Totals), len(counters))
@@ -113,17 +107,14 @@ func ReadJSON(r io.Reader) (*perf.SuiteMeasurement, error) {
 					jw.Name, len(jw.Series), len(counters))
 			}
 			m.Series.Interval = in.Interval
-			seriesLen := -1
 			for j, c := range counters {
-				if seriesLen == -1 {
-					seriesLen = len(jw.Series[j])
-				} else if len(jw.Series[j]) != seriesLen {
-					return nil, fmt.Errorf("trace: workload %q has ragged series", jw.Name)
-				}
 				m.Series.Samples[c] = append([]float64(nil), jw.Series[j]...)
 			}
 		}
 		sm.Workloads = append(sm.Workloads, m)
+	}
+	if err := sm.Validate(); err != nil {
+		return nil, fmt.Errorf("trace: %w", err)
 	}
 	return sm, nil
 }
