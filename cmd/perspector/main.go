@@ -805,10 +805,12 @@ func runValidate(args []string) error {
 		s, err := perspector.LoadSuiteFile(path, cfg)
 		if err == nil {
 			for i := range s.Specs {
-				if _, cerr := workload.Compile(s.Specs[i]); cerr != nil {
+				prog, cerr := workload.Compile(s.Specs[i])
+				if cerr != nil {
 					err = fmt.Errorf("workload %s: %w", s.Specs[i].Name, cerr)
 					break
 				}
+				prog.Release()
 			}
 		}
 		if err != nil {

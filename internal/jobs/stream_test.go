@@ -518,12 +518,12 @@ func TestStreamValidation(t *testing.T) {
 	}
 	snap := openStream(t, m, "a", "b")
 	badChunks := []StreamChunk{
-		{},                             // no suite on a 2-suite stream
+		{}, // no suite on a 2-suite stream
 		{Suite: "c", Workloads: []ChunkWorkload{{Name: "w"}}}, // unknown suite
-		{Suite: "a"},                   // no workloads
-		{Suite: "a", Workloads: []ChunkWorkload{{Name: ""}}},  // unnamed
-		{Suite: "a", Workloads: []ChunkWorkload{{Name: "w", Totals: []uint64{1}}}},            // wrong totals arity
-		{Suite: "a", Workloads: []ChunkWorkload{{Name: "w", Series: [][]float64{{1, 2}}}}},    // wrong series arity
+		{Suite: "a"}, // no workloads
+		{Suite: "a", Workloads: []ChunkWorkload{{Name: ""}}},                               // unnamed
+		{Suite: "a", Workloads: []ChunkWorkload{{Name: "w", Totals: []uint64{1}}}},         // wrong totals arity
+		{Suite: "a", Workloads: []ChunkWorkload{{Name: "w", Series: [][]float64{{1, 2}}}}}, // wrong series arity
 	}
 	for i, c := range badChunks {
 		as, err := m.Append(snap.ID, c)

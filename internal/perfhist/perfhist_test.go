@@ -100,10 +100,10 @@ func TestDecodeMixedSchema(t *testing.T) {
 func TestDecodeSkipsInvalidRecords(t *testing.T) {
 	lines := []string{
 		`not json at all`,
-		`{"generated_at":"2026-08-01T00:00:00Z","goos":"linux","goarch":"amd64","go_version":"go1.24","benchmarks":[]}`,                                      // no benchmarks
-		`{"generated_at":"2026-08-01T00:00:00Z","goos":"linux","goarch":"amd64","go_version":"go1.24","benchmarks":[{"name":"X","ns_per_op":-5}]}`,           // bad ns
-		`{"goos":"linux","goarch":"amd64","go_version":"go1.24","benchmarks":[{"name":"X","ns_per_op":5}]}`,                                                  // no timestamp
-		`{"generated_at":"2026-08-01T00:00:00Z","go_version":"go1.24","benchmarks":[{"name":"X","ns_per_op":5}]}`,                                            // no platform
+		`{"generated_at":"2026-08-01T00:00:00Z","goos":"linux","goarch":"amd64","go_version":"go1.24","benchmarks":[]}`,                                           // no benchmarks
+		`{"generated_at":"2026-08-01T00:00:00Z","goos":"linux","goarch":"amd64","go_version":"go1.24","benchmarks":[{"name":"X","ns_per_op":-5}]}`,                // bad ns
+		`{"goos":"linux","goarch":"amd64","go_version":"go1.24","benchmarks":[{"name":"X","ns_per_op":5}]}`,                                                       // no timestamp
+		`{"generated_at":"2026-08-01T00:00:00Z","go_version":"go1.24","benchmarks":[{"name":"X","ns_per_op":5}]}`,                                                 // no platform
 		`{"generated_at":"2026-08-01T00:00:00Z","goos":"linux","goarch":"amd64","go_version":"go1.24","benchmarks":[{"name":"OK","ns_per_op":5,"iterations":1}]}`, // valid
 	}
 	h, err := Decode(strings.NewReader(strings.Join(lines, "\n") + "\n"))

@@ -15,6 +15,7 @@ package rng
 import (
 	"math"
 	"math/bits"
+	"sync"
 )
 
 // splitMix64 advances a SplitMix64 state and returns the next output.
@@ -55,20 +56,20 @@ func New(seed uint64) *Source {
 }
 
 // Uint64 returns the next 64 uniformly distributed bits.
-//
-// This is the reference xoshiro256** step with the state-update
-// dependency chain substituted out, so each new word is one expression
-// over the old state. The flattening keeps the function under the
-// compiler's inlining budget — it sits on the hottest simulator path,
-// called once or twice per simulated instruction.
 func (s *Source) Uint64() uint64 {
-	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
-	r := bits.RotateLeft64(s1*5, 7) * 9
-	s.s0 = s0 ^ s3 ^ s1
-	s.s1 = s1 ^ s2 ^ s0
-	s.s2 = s2 ^ s0 ^ s1<<17
-	s.s3 = bits.RotateLeft64(s3^s1, 45)
+	var r uint64
+	r, s.s0, s.s1, s.s2, s.s3 = step(s.s0, s.s1, s.s2, s.s3)
 	return r
+}
+
+// step is one xoshiro256** step: the output for state (s0..s3) and the
+// next state. It is the reference step with the state-update dependency
+// chain substituted out, so each new word is one expression over the old
+// state. Taking and returning the state by value lets a caller keep it in
+// registers (see Cycle); the flattening keeps Uint64, which sits on the
+// hottest simulator path, within the compiler's inlining budget.
+func step(s0, s1, s2, s3 uint64) (r, n0, n1, n2, n3 uint64) {
+	return bits.RotateLeft64(s1*5, 7) * 9, s0 ^ s3 ^ s1, s1 ^ s2 ^ s0, s2 ^ s0 ^ s1<<17, bits.RotateLeft64(s3^s1, 45)
 }
 
 // Split derives an independent child generator. The child stream is a
@@ -184,6 +185,40 @@ func (s *Source) Perm(n int) []int {
 	return p
 }
 
+// Cycle fills p with a uniformly random single-cycle permutation of
+// [0, len(p)) by Sattolo's algorithm: following p from any index visits
+// every index before returning. len(p) must not exceed 1<<32.
+//
+// The draws are exactly those of the reference loop
+//
+//	for i := len(p) - 1; i > 0; i-- { j := s.Intn(i); p[i], p[j] = p[j], p[i] }
+//
+// but the generator state lives in locals for the whole loop and is
+// written back once at the end, so a shuffle of millions of entries runs
+// without a load and store of the state per draw.
+func (s *Source) Cycle(p []uint32) {
+	for i := range p {
+		p[i] = uint32(i)
+	}
+	s0, s1, s2, s3 := s.s0, s.s1, s.s2, s.s3
+	for i := len(p) - 1; i > 0; i-- {
+		// Intn(i) over the local state.
+		bound := uint64(i)
+		var x uint64
+		x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+		hi, lo := bits.Mul64(x, bound)
+		if lo < bound {
+			threshold := -bound % bound
+			for lo < threshold {
+				x, s0, s1, s2, s3 = step(s0, s1, s2, s3)
+				hi, lo = bits.Mul64(x, bound)
+			}
+		}
+		p[i], p[hi] = p[hi], p[i]
+	}
+	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
+}
+
 // Shuffle randomly permutes the first n elements using the provided swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {
@@ -201,11 +236,18 @@ type Zipf struct {
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent alpha >= 0.
-// alpha = 0 degenerates to the uniform distribution.
+// alpha = 0 degenerates to the uniform distribution. The CDF table
+// depends only on (n, alpha), so samplers with the same shape share one
+// read-only table (see zipfTables).
 func NewZipf(src *Source, n int, alpha float64) *Zipf {
 	if n <= 0 {
 		panic("rng: NewZipf with non-positive n")
 	}
+	return &Zipf{src: src, cdf: zipfTables.get(n, alpha)}
+}
+
+// zipfCDF computes the normalized Zipf CDF over n ranks.
+func zipfCDF(n int, alpha float64) []float64 {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -217,7 +259,67 @@ func NewZipf(src *Source, n int, alpha float64) *Zipf {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // avoid round-off at the tail
-	return &Zipf{src: src, cdf: cdf}
+	return cdf
+}
+
+// The memo of shared Zipf tables is bounded in both tables and ranks:
+// the stock suite specs need 21 tables of at most 65536 ranks, while
+// inline suite specs are client input (up to 2^28 ranks per table), so
+// the memo must grow with neither their count nor their size.
+const (
+	zipfMemoCap   = 64
+	zipfMemoRanks = 1 << 22 // 32 MiB of float64
+)
+
+type zipfKey struct {
+	n     int
+	alpha uint64 // math.Float64bits(alpha): exact, and NaN-safe as a key
+}
+
+// zipfMemo shares CDF tables between samplers of the same shape. Tables
+// are never written after they are built, so handing one to any number
+// of samplers is safe.
+type zipfMemo struct {
+	mu     sync.Mutex
+	tables map[zipfKey][]float64
+	ranks  int // sum of len over tables
+}
+
+var zipfTables = zipfMemo{tables: make(map[zipfKey][]float64)}
+
+// get returns the shared table for (n, alpha), computing it on a miss.
+// A miss evicts arbitrary entries until the new table fits the bounds;
+// samplers holding an evicted table keep using it. A table larger than
+// the whole rank budget is handed out unshared.
+func (m *zipfMemo) get(n int, alpha float64) []float64 {
+	key := zipfKey{n: n, alpha: math.Float64bits(alpha)}
+	m.mu.Lock()
+	cdf, ok := m.tables[key]
+	m.mu.Unlock()
+	if ok {
+		return cdf
+	}
+	// Compute outside the lock: a table can take milliseconds, and two
+	// racing builders of one key produce identical tables.
+	cdf = zipfCDF(n, alpha)
+	if n > zipfMemoRanks {
+		return cdf
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if shared, ok := m.tables[key]; ok {
+		return shared
+	}
+	for k, t := range m.tables {
+		if len(m.tables) < zipfMemoCap && m.ranks+n <= zipfMemoRanks {
+			break
+		}
+		delete(m.tables, k)
+		m.ranks -= len(t)
+	}
+	m.tables[key] = cdf
+	m.ranks += n
+	return cdf
 }
 
 // Next returns the next Zipf-distributed rank in [0, n).

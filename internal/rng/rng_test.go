@@ -243,6 +243,117 @@ func TestZipfPanics(t *testing.T) {
 	NewZipf(New(1), 0, 1)
 }
 
+// sattoloRef is the reference single-cycle shuffle Cycle must reproduce
+// draw for draw.
+func sattoloRef(s *Source, n int) []uint32 {
+	p := make([]uint32, n)
+	for i := range p {
+		p[i] = uint32(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := s.Intn(i)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
+}
+
+func TestCycleMatchesIntnReference(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 64, 65537} {
+		for _, seed := range []uint64{0, 1, 7, 2023, 1 << 63} {
+			ref, got := New(seed), New(seed)
+			want := sattoloRef(ref, n)
+			p := make([]uint32, n)
+			for i := range p {
+				p[i] = 0xdeadbeef // stale contents must not matter
+			}
+			got.Cycle(p)
+			for i := range p {
+				if p[i] != want[i] {
+					t.Fatalf("n=%d seed=%d: p[%d] = %d, reference %d", n, seed, i, p[i], want[i])
+				}
+			}
+			if a, b := got.Uint64(), ref.Uint64(); a != b {
+				t.Fatalf("n=%d seed=%d: source state diverged after Cycle (%#x vs %#x)", n, seed, a, b)
+			}
+		}
+	}
+}
+
+// zipfRef is the unshared CDF computation NewZipf's tables must match.
+func zipfRef(n int, alpha float64) []float64 {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for i := 0; i < n; i++ {
+		sum += 1 / math.Pow(float64(i+1), alpha)
+		cdf[i] = sum
+	}
+	for i := range cdf {
+		cdf[i] *= 1 / sum
+	}
+	cdf[n-1] = 1
+	return cdf
+}
+
+func TestZipfSharedTableBitIdentical(t *testing.T) {
+	for _, c := range []struct {
+		n     int
+		alpha float64
+	}{{1, 0.9}, {10, 0}, {1000, 1.1}, {16384, 0.7}, {20480, 0.85}} {
+		a := NewZipf(New(1), c.n, c.alpha)
+		b := NewZipf(New(1), c.n, c.alpha)
+		if &a.cdf[0] != &b.cdf[0] {
+			t.Fatalf("n=%d alpha=%v: samplers of one shape do not share a table", c.n, c.alpha)
+		}
+		want := zipfRef(c.n, c.alpha)
+		for i := range want {
+			if math.Float64bits(a.cdf[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("n=%d alpha=%v: shared cdf[%d] = %v, fresh %v", c.n, c.alpha, i, a.cdf[i], want[i])
+			}
+		}
+		for i := 0; i < 1000; i++ {
+			if x, y := a.Next(), b.Next(); x != y {
+				t.Fatalf("n=%d alpha=%v: draw %d differs (%d vs %d)", c.n, c.alpha, i, x, y)
+			}
+		}
+	}
+}
+
+func TestZipfMemoBounded(t *testing.T) {
+	m := zipfMemo{tables: make(map[zipfKey][]float64)}
+	check := func(k, n int, alpha float64) {
+		t.Helper()
+		cdf := m.get(n, alpha)
+		if len(m.tables) > zipfMemoCap || m.ranks > zipfMemoRanks {
+			t.Fatalf("key %d: memo holds %d tables, %d ranks; bounds %d, %d",
+				k, len(m.tables), m.ranks, zipfMemoCap, zipfMemoRanks)
+		}
+		want := zipfRef(n, alpha)
+		for i := range want {
+			if math.Float64bits(cdf[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("key %d: cdf[%d] = %v, fresh %v", k, i, cdf[i], want[i])
+			}
+		}
+	}
+	for k := 0; k < 3*zipfMemoCap; k++ {
+		check(k, 1+k%7, 0.5+float64(k)/1000)
+	}
+	if len(m.tables) != zipfMemoCap {
+		t.Fatalf("memo holds %d tables after overflow, want the cap %d", len(m.tables), zipfMemoCap)
+	}
+	// Few but large tables hit the rank budget before the table cap.
+	for k := 0; k < 4; k++ {
+		check(k, zipfMemoRanks/3, 1+float64(k)/10)
+	}
+	check(0, zipfMemoRanks+1, 1) // larger than the budget: never kept
+	sum := 0
+	for _, cdf := range m.tables {
+		sum += len(cdf)
+	}
+	if sum != m.ranks {
+		t.Fatalf("memo counts %d ranks, tables hold %d", m.ranks, sum)
+	}
+}
+
 func TestChildSeedStability(t *testing.T) {
 	// The i-th child seed must not depend on how many other children exist.
 	s1 := ChildSeed(99, 5)
@@ -312,5 +423,14 @@ func BenchmarkZipfNext(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		z.Next()
+	}
+}
+
+func BenchmarkCycle(b *testing.B) {
+	p := make([]uint32, 1<<20)
+	s := New(1)
+	b.SetBytes(int64(len(p)) * 4)
+	for i := 0; i < b.N; i++ {
+		s.Cycle(p)
 	}
 }

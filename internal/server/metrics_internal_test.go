@@ -12,9 +12,9 @@ func TestPromLabelEscaping(t *testing.T) {
 		{`a"b`, `"a\"b"`},
 		{`a\b`, `"a\\b"`},
 		{"a\nb", `"a\nb"`},
-		{"a\tb", "\"a\tb\""},        // raw tab, NOT \t
-		{"naïve-π", `"naïve-π"`},    // UTF-8 raw, NOT \u escapes
-		{`\"`, `"\\\""`},            // compound: each char escaped once
+		{"a\tb", "\"a\tb\""},     // raw tab, NOT \t
+		{"naïve-π", `"naïve-π"`}, // UTF-8 raw, NOT \u escapes
+		{`\"`, `"\\\""`},         // compound: each char escaped once
 		{"", `""`},
 	}
 	for _, tc := range cases {

@@ -58,6 +58,12 @@ func RunMulticoreContext(ctx context.Context, s Suite, cfg Config, threads int) 
 
 func runOneMulticore(ctx context.Context, spec workload.Spec, cfg Config, threads int) (*perf.Measurement, error) {
 	progs := make([]uarch.Program, threads)
+	compiled := make([]*workload.Program, 0, threads)
+	defer func() {
+		for _, p := range compiled {
+			p.Release()
+		}
+	}()
 	for th := 0; th < threads; th++ {
 		threadSpec := spec
 		threadSpec.Seed = rng.ChildSeed(spec.Seed, th+1)
@@ -66,6 +72,7 @@ func runOneMulticore(ctx context.Context, spec workload.Spec, cfg Config, thread
 		if err != nil {
 			return nil, err
 		}
+		compiled = append(compiled, p)
 		progs[th] = p
 	}
 	mc := cfg.Machine

@@ -160,6 +160,7 @@ func runOne(ctx context.Context, spec workload.Spec, cfg Config, slot **uarch.Ma
 	if err != nil {
 		return nil, err
 	}
+	defer prog.Release()
 	mc := cfg.Machine
 	mc.SampleInterval = spec.Instructions / uint64(cfg.Samples)
 	if mc.SampleInterval == 0 {

@@ -10,6 +10,7 @@ package workload
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"perspector/internal/rng"
 )
@@ -287,22 +288,53 @@ func (p PointerChase) Instantiate(base uint64, src *rng.Source) (AddrGen, error)
 		return nil, fmt.Errorf("workload: PointerChase working set %d too large", p.WorkingSet)
 	}
 	// Build a single cycle with Sattolo's algorithm so the walk covers the
-	// whole set before repeating.
-	next := make([]uint32, lines)
-	for i := range next {
-		next[i] = uint32(i)
-	}
-	for i := int(lines) - 1; i > 0; i-- {
-		j := src.Intn(i)
-		next[i], next[j] = next[j], next[i]
-	}
+	// whole set before repeating. Cycle rewrites every entry, so a reused
+	// table's stale contents cannot leak into the walk.
+	next := getChaseTable(int(lines))
+	src.Cycle(next)
 	return &chaseGen{base: base, next: next}, nil
+}
+
+// chaseTables recycles pointer-chase tables between programs. Tables are
+// sized by the working set, not by the instructions a walk runs, so
+// without reuse a short program pays mostly for allocating and zeroing
+// nodes it never visits. Entries are *[]uint32 so Put does not allocate.
+// The pool drops idle entries across garbage collections, so a table no
+// program needs stays reclaimable.
+var chaseTables sync.Pool
+
+// getChaseTable returns a table of n entries with arbitrary contents,
+// reslicing a pooled table when one with enough capacity is at hand. A
+// pooled table that is too small is left to the GC: putting it back
+// would hand it to the next request again.
+func getChaseTable(n int) []uint32 {
+	if t, ok := chaseTables.Get().(*[]uint32); ok && cap(*t) >= n {
+		return (*t)[:n]
+	}
+	return make([]uint32, n)
 }
 
 type chaseGen struct {
 	base uint64
 	next []uint32
 	cur  uint32
+}
+
+// releaseGen returns the pooled tables held by gen, including those of
+// Alternating sub-generators, to chaseTables (see Program.Release). It
+// drops the generator's reference, so a walk after release panics
+// instead of reading a table another program now owns.
+func releaseGen(gen AddrGen) {
+	switch g := gen.(type) {
+	case *chaseGen:
+		if t := g.next; t != nil {
+			g.next = nil
+			chaseTables.Put(&t)
+		}
+	case *altGen:
+		releaseGen(g.a)
+		releaseGen(g.b)
+	}
 }
 
 func (g *chaseGen) Next() uint64 {

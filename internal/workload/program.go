@@ -273,8 +273,11 @@ func Compile(spec Spec) (*Program, error) {
 func (pr *Program) Name() string { return pr.spec.Name }
 
 // Reset implements uarch.Program by recompiling the generators from the
-// original spec, restoring the exact initial stream.
+// original spec, restoring the exact initial stream. The tables of the
+// generators it replaces are released first, so the recompile can reuse
+// them.
 func (pr *Program) Reset() {
+	pr.Release()
 	fresh, err := Compile(pr.spec)
 	if err != nil {
 		// Compile succeeded once with the same spec; a failure here is a
@@ -282,6 +285,18 @@ func (pr *Program) Reset() {
 		panic(fmt.Sprintf("workload: Reset recompile failed: %v", err))
 	}
 	*pr = *fresh
+}
+
+// Release returns the program's pointer-chase tables to the pool they
+// came from, so the next Compile can reuse them instead of allocating.
+// Call it once the program has run; drawing addresses from a released
+// chase generator panics. Releasing twice is a no-op, and a released
+// program can still be Reset.
+func (pr *Program) Release() {
+	for i := range pr.phases {
+		releaseGen(pr.phases[i].loadGen.gen)
+		releaseGen(pr.phases[i].storeGen.gen)
+	}
 }
 
 // emit produces one instruction of this phase. It is the shared body of
