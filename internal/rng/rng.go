@@ -232,22 +232,36 @@ func (s *Source) Shuffle(n int, swap func(i, j int)) {
 // The zero value is not valid; use NewZipf.
 type Zipf struct {
 	src *Source
-	cdf []float64
+	zipfTable
+}
+
+// zipfTable is the read-only sampling table for one (n, alpha): the CDF
+// and a guide table that narrows each draw's search to one bucket.
+//
+// With K the largest power of two ≤ n, guide[k] (0 ≤ k ≤ K) is the first
+// rank whose CDF reaches k/K. A draw u in [k/K, (k+1)/K) has its answer,
+// the first rank whose CDF reaches u, in [guide[k], guide[k+1]]; and k
+// is just the top log2(K) bits of u's 53-bit mantissa.
+type zipfTable struct {
+	cdf   []float64
+	guide []uint32
+	shift uint // 53 − log2(K)
 }
 
 // NewZipf builds a Zipf sampler over n ranks with exponent alpha >= 0.
-// alpha = 0 degenerates to the uniform distribution. The CDF table
-// depends only on (n, alpha), so samplers with the same shape share one
+// alpha = 0 degenerates to the uniform distribution. The table depends
+// only on (n, alpha), so samplers with the same shape share one
 // read-only table (see zipfTables).
 func NewZipf(src *Source, n int, alpha float64) *Zipf {
 	if n <= 0 {
 		panic("rng: NewZipf with non-positive n")
 	}
-	return &Zipf{src: src, cdf: zipfTables.get(n, alpha)}
+	return &Zipf{src: src, zipfTable: zipfTables.get(n, alpha)}
 }
 
-// zipfCDF computes the normalized Zipf CDF over n ranks.
-func zipfCDF(n int, alpha float64) []float64 {
+// newZipfTable computes the normalized Zipf CDF over n ranks and its
+// guide table.
+func newZipfTable(n int, alpha float64) zipfTable {
 	cdf := make([]float64, n)
 	sum := 0.0
 	for i := 0; i < n; i++ {
@@ -259,16 +273,31 @@ func zipfCDF(n int, alpha float64) []float64 {
 		cdf[i] *= inv
 	}
 	cdf[n-1] = 1 // avoid round-off at the tail
-	return cdf
+	logK := uint(bits.Len(uint(n))) - 1
+	k := 1 << logK
+	guide := make([]uint32, k+1)
+	i := 0
+	for j := range guide {
+		// j/k is exact: k is a power of two far below 2^53.
+		for cdf[i] < float64(j)/float64(k) {
+			i++
+		}
+		guide[j] = uint32(i)
+	}
+	return zipfTable{cdf: cdf, guide: guide, shift: 53 - logK}
 }
 
-// The memo of shared Zipf tables is bounded in both tables and ranks:
-// the stock suite specs need 21 tables of at most 65536 ranks, while
-// inline suite specs are client input (up to 2^28 ranks per table), so
-// the memo must grow with neither their count nor their size.
+// bytes is the table's memory footprint.
+func (t zipfTable) bytes() int { return 8*len(t.cdf) + 4*len(t.guide) }
+
+// The memo of shared Zipf tables is bounded in both tables and bytes:
+// the stock suite specs need 21 tables of at most 65536 ranks (under
+// 17 MiB with guides), while inline suite specs are client input (up to
+// 2^28 ranks per table), so the memo must grow with neither their count
+// nor their size.
 const (
 	zipfMemoCap   = 64
-	zipfMemoRanks = 1 << 22 // 32 MiB of float64
+	zipfMemoBytes = 32 << 20
 )
 
 type zipfKey struct {
@@ -276,59 +305,67 @@ type zipfKey struct {
 	alpha uint64 // math.Float64bits(alpha): exact, and NaN-safe as a key
 }
 
-// zipfMemo shares CDF tables between samplers of the same shape. Tables
+// zipfMemo shares Zipf tables between samplers of the same shape. Tables
 // are never written after they are built, so handing one to any number
 // of samplers is safe.
 type zipfMemo struct {
 	mu     sync.Mutex
-	tables map[zipfKey][]float64
-	ranks  int // sum of len over tables
+	tables map[zipfKey]zipfTable
+	bytes  int // sum of bytes() over tables
 }
 
-var zipfTables = zipfMemo{tables: make(map[zipfKey][]float64)}
+var zipfTables = zipfMemo{tables: make(map[zipfKey]zipfTable)}
 
 // get returns the shared table for (n, alpha), computing it on a miss.
 // A miss evicts arbitrary entries until the new table fits the bounds;
 // samplers holding an evicted table keep using it. A table larger than
-// the whole rank budget is handed out unshared.
-func (m *zipfMemo) get(n int, alpha float64) []float64 {
+// the whole byte budget is handed out unshared.
+func (m *zipfMemo) get(n int, alpha float64) zipfTable {
 	key := zipfKey{n: n, alpha: math.Float64bits(alpha)}
 	m.mu.Lock()
-	cdf, ok := m.tables[key]
+	t, ok := m.tables[key]
 	m.mu.Unlock()
 	if ok {
-		return cdf
+		return t
 	}
 	// Compute outside the lock: a table can take milliseconds, and two
 	// racing builders of one key produce identical tables.
-	cdf = zipfCDF(n, alpha)
-	if n > zipfMemoRanks {
-		return cdf
+	t = newZipfTable(n, alpha)
+	size := t.bytes()
+	if size > zipfMemoBytes {
+		return t
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if shared, ok := m.tables[key]; ok {
 		return shared
 	}
-	for k, t := range m.tables {
-		if len(m.tables) < zipfMemoCap && m.ranks+n <= zipfMemoRanks {
+	for k, old := range m.tables {
+		if len(m.tables) < zipfMemoCap && m.bytes+size <= zipfMemoBytes {
 			break
 		}
 		delete(m.tables, k)
-		m.ranks -= len(t)
+		m.bytes -= old.bytes()
 	}
-	m.tables[key] = cdf
-	m.ranks += n
-	return cdf
+	m.tables[key] = t
+	m.bytes += size
+	return t
 }
 
 // Next returns the next Zipf-distributed rank in [0, n).
 func (z *Zipf) Next() int {
-	u := z.src.Float64()
-	// Binary search for the first CDF entry >= u.
-	lo, hi := 0, len(z.cdf)-1
+	return z.rank(z.src.Uint64() >> 11)
+}
+
+// rank returns the first rank whose CDF reaches u = x/2^53, for a 53-bit
+// x: u is exactly the deviate Float64 makes of the same draw, and the
+// top bits of x pick the guide bucket that bounds the binary search.
+func (z *Zipf) rank(x uint64) int {
+	u := float64(x) / (1 << 53)
+	k := x >> z.shift
+	lo, hi := int(z.guide[k]), int(z.guide[k+1])
 	for lo < hi {
-		mid := (lo + hi) / 2
+		mid := int(uint(lo+hi) >> 1)
 		if z.cdf[mid] < u {
 			lo = mid + 1
 		} else {

@@ -319,18 +319,18 @@ func TestZipfSharedTableBitIdentical(t *testing.T) {
 }
 
 func TestZipfMemoBounded(t *testing.T) {
-	m := zipfMemo{tables: make(map[zipfKey][]float64)}
+	m := zipfMemo{tables: make(map[zipfKey]zipfTable)}
 	check := func(k, n int, alpha float64) {
 		t.Helper()
-		cdf := m.get(n, alpha)
-		if len(m.tables) > zipfMemoCap || m.ranks > zipfMemoRanks {
-			t.Fatalf("key %d: memo holds %d tables, %d ranks; bounds %d, %d",
-				k, len(m.tables), m.ranks, zipfMemoCap, zipfMemoRanks)
+		tab := m.get(n, alpha)
+		if len(m.tables) > zipfMemoCap || m.bytes > zipfMemoBytes {
+			t.Fatalf("key %d: memo holds %d tables, %d bytes; bounds %d, %d",
+				k, len(m.tables), m.bytes, zipfMemoCap, zipfMemoBytes)
 		}
 		want := zipfRef(n, alpha)
 		for i := range want {
-			if math.Float64bits(cdf[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("key %d: cdf[%d] = %v, fresh %v", k, i, cdf[i], want[i])
+			if math.Float64bits(tab.cdf[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("key %d: cdf[%d] = %v, fresh %v", k, i, tab.cdf[i], want[i])
 			}
 		}
 	}
@@ -340,17 +340,73 @@ func TestZipfMemoBounded(t *testing.T) {
 	if len(m.tables) != zipfMemoCap {
 		t.Fatalf("memo holds %d tables after overflow, want the cap %d", len(m.tables), zipfMemoCap)
 	}
-	// Few but large tables hit the rank budget before the table cap.
+	// Few but large tables hit the byte budget before the table cap. A
+	// third of the budget in CDF bytes alone fits three times; counting
+	// the guides, only twice.
+	const third = zipfMemoBytes / 8 / 3
 	for k := 0; k < 4; k++ {
-		check(k, zipfMemoRanks/3, 1+float64(k)/10)
+		check(k, third, 1+float64(k)/10)
 	}
-	check(0, zipfMemoRanks+1, 1) // larger than the budget: never kept
+	large := 0
+	for key := range m.tables {
+		if key.n == third {
+			large++
+		}
+	}
+	if large != 2 {
+		t.Fatalf("memo holds %d tables of a third of the budget in CDF bytes, want 2 with their guides counted", large)
+	}
+	check(0, zipfMemoBytes/8+1, 1) // larger than the budget: never kept
 	sum := 0
-	for _, cdf := range m.tables {
-		sum += len(cdf)
+	for _, tab := range m.tables {
+		sum += 8*len(tab.cdf) + 4*len(tab.guide)
 	}
-	if sum != m.ranks {
-		t.Fatalf("memo counts %d ranks, tables hold %d", m.ranks, sum)
+	if sum != m.bytes {
+		t.Fatalf("memo counts %d bytes, tables hold %d", m.bytes, sum)
+	}
+}
+
+// zipfSearchRef is the rank Zipf.Next must draw for the deviate u: a
+// binary search over every rank for the first CDF entry reaching u.
+func zipfSearchRef(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfNextMatchesFullSearch pins the guide-table draw to the
+// full-range binary search, draw for draw, across rank counts on both
+// sides of a power of two and exponents from uniform to steep.
+func TestZipfNextMatchesFullSearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 8, 9, 1000, 65536, 65537} {
+		for _, alpha := range []float64{0, 0.5, 1.1, 3} {
+			z := NewZipf(New(uint64(n)), n, alpha)
+			ref := New(uint64(n))
+			for i := 0; i < 20000; i++ {
+				if got, want := z.Next(), zipfSearchRef(z.cdf, ref.Float64()); got != want {
+					t.Fatalf("n=%d alpha=%v: draw %d = %d, full search %d", n, alpha, i, got, want)
+				}
+			}
+			// Deviates at the guide bucket edges: u = k/K exactly, and the
+			// largest u below it.
+			for k := uint64(0); k < uint64(len(z.guide)); k += 1 + uint64(len(z.guide))/512 {
+				for _, x := range []uint64{k << z.shift, k<<z.shift - 1} {
+					if x >= 1<<53 {
+						continue
+					}
+					if got, want := z.rank(x), zipfSearchRef(z.cdf, float64(x)/(1<<53)); got != want {
+						t.Fatalf("n=%d alpha=%v: edge draw %#x = %d, full search %d", n, alpha, x, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

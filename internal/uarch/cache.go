@@ -190,32 +190,42 @@ func (c *Cache) Access(addr uint64) bool {
 // (evicting LRU when full) on miss.
 //
 // Ways fill in index order and are never invalidated individually, so the
-// fill level occ describes validity completely, and unfilled ways keep
-// their initial relative order behind every filled way — the first occ
-// nibbles of the order word are exactly the filled ways, most recent
-// first. The hit scan walks those nibbles, so temporally local workloads
-// hit within the first probe or two and a hit already knows its recency
-// position (no separate search before the promote). Unlike the old
-// packed-record walk, the probes carry no serial dependency: position
-// p's way index is an independent shift of the same order word, so the
-// CPU can overlap the tag loads. A not-full install always lands in way
-// occ, at recency position occ; a full-set miss evicts the LRU way, a
-// pure rotate of the order word. (A fill-order scan over the contiguous
-// tag row — with a branch-free SWAR recency lookup on hit — measured
-// faster on miss-heavy microbenchmarks but ~20% slower at suite level,
-// where near-MRU hits dominate; see EXPERIMENTS.md.)
+// fill level occ describes validity completely: the valid ways are
+// exactly tags[0:occ), and the first occ nibbles of the order word are
+// those same ways, most recent first. The probe scans the tag row in fill
+// order, so its loads are independent of each other and of the order
+// word. A hit recovers its recency position from the order word with a
+// SWAR zero-nibble search (recencyPos) and splices as before. A not-full
+// install always lands in way occ, at recency position occ; a full-set
+// miss evicts the LRU way, a pure rotate of the order word.
+//
+// Probing in recency order instead resolves near-MRU hits in one
+// comparison, but the inlined repeat memo in Access already absorbs most
+// of those, and what reaches this path is mostly misses, which compare
+// every valid way in either order. Slow-path probes in one cold run of
+// the six stock suites (seed 99, one thread):
+//
+//	site     probes  misses
+//	L1D      22.2M   91%  (hits at recency position 0: 1%)
+//	L2       20.2M   85%
+//	L3       17.1M   77%  (74% of probes miss into a set not yet full)
+//	dTLB-L1  18.0M   50%
+//	STLB      8.9M   53%
+//
+// With the recency walk, which chained each tag load behind a nibble
+// shift of the order word, these probes were about 43% of that run's
+// CPU time (see EXPERIMENTS.md, "Cold compare at probe cost").
 func (c *Cache) accessSlow(line uint64) bool {
 	c.accesses++
 	c.lastLineP1 = line + 1
 	set := c.setIndex(line)
 	base := set * waysStride
 	tags := c.tags[base : base+waysStride : base+waysStride]
-	o := c.order[set]
+	order := &c.order[set]
 	occ := uint(c.occ[set])
-	for p := uint(0); p < occ; p++ {
-		w := o >> (4 * p) & 0xF
-		if tags[w] == line {
-			splice(&c.order[set], w, p)
+	for w := uint(0); w < occ; w++ {
+		if tags[w&0xF] == line {
+			splice(order, uint64(w), recencyPos(*order, uint64(w)))
 			return true
 		}
 	}
@@ -223,13 +233,28 @@ func (c *Cache) accessSlow(line uint64) bool {
 	if occ < uint(c.ways) {
 		c.occ[set] = uint8(occ + 1)
 		tags[occ&0xF] = line
-		splice(&c.order[set], uint64(occ), occ)
+		splice(order, uint64(occ), occ)
 	} else {
+		o := *order
 		victim := o >> (4 * uint(c.ways-1)) & 0xF
-		c.order[set] = (o<<4 | victim) & c.orderMask
+		*order = (o<<4 | victim) & c.orderMask
 		tags[victim] = line
 	}
 	return false
+}
+
+// recencyPos returns the nibble position of way in the order word o. The
+// first ways nibbles of o are a permutation of the way indices, so the
+// lowest nibble equal to way is its recency position; nibbles above the
+// associativity are zero and can only repeat way 0, which the
+// permutation already holds lower down. x has a zero nibble exactly
+// where o holds way, and the classic has-zero test marks bit 3 of the
+// lowest such nibble exactly (borrows only create false marks above a
+// true zero).
+func recencyPos(o, way uint64) uint {
+	const ones, highs = 0x1111111111111111, 0x8888888888888888
+	x := o ^ way*ones
+	return uint(bits.TrailingZeros64((x-ones)&^x&highs)) / 4
 }
 
 // splice moves the way at nibble position pos of the order word to MRU,

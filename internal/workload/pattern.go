@@ -290,7 +290,7 @@ func (p PointerChase) Instantiate(base uint64, src *rng.Source) (AddrGen, error)
 	// Build a single cycle with Sattolo's algorithm so the walk covers the
 	// whole set before repeating. Cycle rewrites every entry, so a reused
 	// table's stale contents cannot leak into the walk.
-	next := getChaseTable(int(lines))
+	next := chaseTables.get(int(lines))
 	src.Cycle(next)
 	return &chaseGen{base: base, next: next}, nil
 }
@@ -298,20 +298,68 @@ func (p PointerChase) Instantiate(base uint64, src *rng.Source) (AddrGen, error)
 // chaseTables recycles pointer-chase tables between programs. Tables are
 // sized by the working set, not by the instructions a walk runs, so
 // without reuse a short program pays mostly for allocating and zeroing
-// nodes it never visits. Entries are *[]uint32 so Put does not allocate.
-// The pool drops idle entries across garbage collections, so a table no
-// program needs stays reclaimable.
-var chaseTables sync.Pool
+// nodes it never visits.
+var chaseTables = chaseFreeList{budget: chaseIdleBudget}
 
-// getChaseTable returns a table of n entries with arbitrary contents,
-// reslicing a pooled table when one with enough capacity is at hand. A
-// pooled table that is too small is left to the GC: putting it back
-// would hand it to the next request again.
-func getChaseTable(n int) []uint32 {
-	if t, ok := chaseTables.Get().(*[]uint32); ok && cap(*t) >= n {
-		return (*t)[:n]
+// chaseIdleBudget bounds the bytes of idle tables kept for reuse. Runs
+// of the stock suites on one or two workers allocate six or eight tables
+// (101 or 113 MB) on the first run, so under this budget every later
+// run reuses them all.
+const chaseIdleBudget = 128 << 20
+
+// chaseFreeList keeps released tables for reuse, across garbage
+// collections, while their bytes stay within budget.
+type chaseFreeList struct {
+	mu     sync.Mutex
+	tables [][]uint32
+	idle   int // bytes of capacity held in tables
+	budget int
+}
+
+// get returns a table of n entries with arbitrary contents: the smallest
+// idle table with room for n, resliced, or a new one if none has room.
+func (l *chaseFreeList) get(n int) []uint32 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	best := -1
+	for i, t := range l.tables {
+		if cap(t) >= n && (best < 0 || cap(t) < cap(l.tables[best])) {
+			best = i
+		}
 	}
-	return make([]uint32, n)
+	if best < 0 {
+		return make([]uint32, n)
+	}
+	t := l.tables[best]
+	l.remove(best)
+	return t[:n]
+}
+
+// put makes t available for reuse. While idle tables exceed the budget,
+// the smallest is dropped: it saves the least allocation.
+func (l *chaseFreeList) put(t []uint32) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.tables = append(l.tables, t)
+	l.idle += 4 * cap(t)
+	for l.idle > l.budget {
+		smallest := 0
+		for i, u := range l.tables {
+			if cap(u) < cap(l.tables[smallest]) {
+				smallest = i
+			}
+		}
+		l.remove(smallest)
+	}
+}
+
+// remove drops the i-th idle table from the list.
+func (l *chaseFreeList) remove(i int) {
+	l.idle -= 4 * cap(l.tables[i])
+	last := len(l.tables) - 1
+	l.tables[i] = l.tables[last]
+	l.tables[last] = nil
+	l.tables = l.tables[:last]
 }
 
 type chaseGen struct {
@@ -320,7 +368,7 @@ type chaseGen struct {
 	cur  uint32
 }
 
-// releaseGen returns the pooled tables held by gen, including those of
+// releaseGen returns the chase tables held by gen, including those of
 // Alternating sub-generators, to chaseTables (see Program.Release). It
 // drops the generator's reference, so a walk after release panics
 // instead of reading a table another program now owns.
@@ -329,7 +377,7 @@ func releaseGen(gen AddrGen) {
 	case *chaseGen:
 		if t := g.next; t != nil {
 			g.next = nil
-			chaseTables.Put(&t)
+			chaseTables.put(t)
 		}
 	case *altGen:
 		releaseGen(g.a)

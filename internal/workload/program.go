@@ -287,8 +287,8 @@ func (pr *Program) Reset() {
 	*pr = *fresh
 }
 
-// Release returns the program's pointer-chase tables to the pool they
-// came from, so the next Compile can reuse them instead of allocating.
+// Release returns the program's pointer-chase tables to the shared free
+// list, so the next Compile can reuse them instead of allocating.
 // Call it once the program has run; drawing addresses from a released
 // chase generator panics. Releasing twice is a no-op, and a released
 // program can still be Reset.

@@ -1,8 +1,11 @@
 package workload
 
 import (
+	"runtime"
+	"slices"
 	"testing"
 
+	"perspector/internal/rng"
 	"perspector/internal/uarch"
 )
 
@@ -70,9 +73,7 @@ func drainProgram(pr *Program) []uarch.Instr {
 // program used and released: whatever that table held, the instruction
 // stream must be the one a freshly allocated table yields.
 func TestReleasedTableReuseKeepsStream(t *testing.T) {
-	for chaseTables.Get() != nil {
-		// Empty the pool so the reference compiles on fresh tables.
-	}
+	emptyChaseTables() // the reference compiles on fresh tables
 	fresh, err := Compile(chaseSpec(11, 256<<10))
 	if err != nil {
 		t.Fatal(err)
@@ -115,9 +116,9 @@ func TestReleasedTableReuseKeepsStream(t *testing.T) {
 		b.Release()
 		b.Release() // a second release is a no-op
 	}
-	// sync.Pool may drop any Put (the race detector drops them on
-	// purpose), so reuse is likely but not guaranteed.
-	t.Logf("%d of %d tables came from a released program", reused, tables)
+	if reused != tables {
+		t.Fatalf("%d of %d tables came from a released program, want all", reused, tables)
+	}
 }
 
 func TestReleaseReturnsEveryTable(t *testing.T) {
@@ -171,4 +172,109 @@ func TestResetAfterRelease(t *testing.T) {
 		}
 	}
 	pr.Release()
+}
+
+// emptyChaseTables drops every idle chase table, so the next compiles
+// allocate.
+func emptyChaseTables() {
+	chaseTables.mu.Lock()
+	defer chaseTables.mu.Unlock()
+	chaseTables.tables, chaseTables.idle = nil, 0
+}
+
+// TestReleasedTableSurvivesGC releases a program's tables, collects
+// garbage twice, and compiles the same spec again: the new program must
+// walk the very tables the first one released.
+func TestReleasedTableSurvivesGC(t *testing.T) {
+	emptyChaseTables()
+	a, err := Compile(chaseSpec(3, 256<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := map[*uint32]bool{}
+	for _, g := range chaseGensOf(a) {
+		released[&g.next[0]] = true
+	}
+	a.Release()
+	runtime.GC()
+	runtime.GC()
+	b, err := Compile(chaseSpec(3, 256<<10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	for i, g := range chaseGensOf(b) {
+		if !released[&g.next[0]] {
+			t.Fatalf("chase generator %d got a fresh table after two GCs", i)
+		}
+	}
+}
+
+func TestChaseFreeListBestFit(t *testing.T) {
+	l := chaseFreeList{budget: 1 << 20}
+	small, mid, large := make([]uint32, 50), make([]uint32, 100), make([]uint32, 200)
+	for _, tab := range [][]uint32{mid, large, small} {
+		l.put(tab)
+	}
+	for _, c := range []struct {
+		n    int
+		want []uint32
+	}{{60, mid}, {10, small}, {10, large}} {
+		got := l.get(c.n)
+		if len(got) != c.n || &got[0] != &c.want[0] {
+			t.Fatalf("get(%d) returned a table of capacity %d, want the idle table of capacity %d", c.n, cap(got), cap(c.want))
+		}
+	}
+	if l.idle != 0 || len(l.tables) != 0 {
+		t.Fatalf("free list holds %d tables, %d bytes after handing out all three", len(l.tables), l.idle)
+	}
+	l.put(small)
+	if got := l.get(51); &got[0] == &small[0] {
+		t.Fatal("get(51) reused a table of capacity 50")
+	}
+}
+
+// TestChaseFreeListIdleBudget runs random puts and gets against a model
+// of the policy: best fit on get, and on put the smallest idle tables
+// dropped until the idle bytes fit the budget.
+func TestChaseFreeListIdleBudget(t *testing.T) {
+	const budget = 4 << 10
+	l := chaseFreeList{budget: budget}
+	var model []int // idle capacities, sorted
+	src := rng.New(7)
+	for i := 0; i < 500; i++ {
+		n := 1 + src.Intn(budget/8)
+		if i%3 == 2 {
+			got := l.get(n)
+			if j, _ := slices.BinarySearch(model, n); j < len(model) {
+				if cap(got) != model[j] {
+					t.Fatalf("op %d: get(%d) returned capacity %d, best fit is %d", i, n, cap(got), model[j])
+				}
+				model = slices.Delete(model, j, j+1)
+			}
+			continue
+		}
+		l.put(make([]uint32, n))
+		j, _ := slices.BinarySearch(model, n)
+		model = slices.Insert(model, j, n)
+		for 4*sum(model) > budget {
+			model = model[1:]
+		}
+		var held []int
+		for _, tab := range l.tables {
+			held = append(held, cap(tab))
+		}
+		slices.Sort(held)
+		if !slices.Equal(held, model) || l.idle != 4*sum(model) {
+			t.Fatalf("op %d: free list holds %v (%d bytes counted), want %v", i, held, l.idle, model)
+		}
+	}
+}
+
+func sum(xs []int) int {
+	s := 0
+	for _, x := range xs {
+		s += x
+	}
+	return s
 }
