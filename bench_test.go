@@ -19,7 +19,6 @@ import (
 
 	"perspector"
 	"perspector/internal/cluster"
-	"perspector/internal/core"
 	"perspector/internal/dtw"
 	"perspector/internal/lhs"
 	"perspector/internal/mat"
@@ -169,16 +168,16 @@ func BenchmarkFig2CoverageVsSpread(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if _, err = core.CoverageScore(wa, opts); err != nil {
+		if _, err = metric.CoverageScore(wa, opts); err != nil {
 			b.Fatal(err)
 		}
-		if _, err = core.CoverageScore(wb, opts); err != nil {
+		if _, err = metric.CoverageScore(wb, opts); err != nil {
 			b.Fatal(err)
 		}
-		if spA, err = core.SpreadScore(wa, opts); err != nil {
+		if spA, err = metric.SpreadScore(wa, opts); err != nil {
 			b.Fatal(err)
 		}
-		if spB, err = core.SpreadScore(wb, opts); err != nil {
+		if spB, err = metric.SpreadScore(wb, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -194,7 +193,7 @@ func BenchmarkFig4Clustering(b *testing.B) {
 		x := mat.FromRows(m.Matrix(perf.AllCounters()))
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				normed, err := core.JointNormalize([]*mat.Matrix{x})
+				normed, err := metric.JointNormalize([]*mat.Matrix{x})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -220,10 +219,10 @@ func BenchmarkFig5LLCMissTrends(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var err error
-		if tNb, err = core.TrendScore(nb, opts); err != nil {
+		if tNb, err = metric.TrendScore(nb, opts); err != nil {
 			b.Fatal(err)
 		}
-		if tSp, err = core.TrendScore(sp, opts); err != nil {
+		if tSp, err = metric.TrendScore(sp, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -242,7 +241,7 @@ func BenchmarkFig6PCACoverage(b *testing.B) {
 	xs := mat.FromRows(sp.Matrix(perf.AllCounters()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		normed, err := core.JointNormalize([]*mat.Matrix{xl, xs})
+		normed, err := metric.JointNormalize([]*mat.Matrix{xl, xs})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -370,7 +369,7 @@ func BenchmarkSimulateSuiteRecorder(b *testing.B) {
 func BenchmarkAblationKMeansSeeding(b *testing.B) {
 	sp := suiteMeas(b, "spec17")
 	x := mat.FromRows(sp.Matrix(perf.AllCounters()))
-	normed, err := core.JointNormalize([]*mat.Matrix{x})
+	normed, err := metric.JointNormalize([]*mat.Matrix{x})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -412,7 +411,7 @@ func BenchmarkAblationDTWBand(b *testing.B) {
 			var t float64
 			for i := 0; i < b.N; i++ {
 				var err error
-				t, err = core.TrendScore(sgx, opts)
+				t, err = metric.TrendScore(sgx, opts)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -434,7 +433,7 @@ func BenchmarkAblationTrendNormalization(b *testing.B) {
 	trend := func(m *perspector.Measurement, valueCDF bool) float64 {
 		opts := perspector.DefaultOptions()
 		opts.TrendValueCDF = valueCDF
-		t, err := core.TrendScore(m, opts)
+		t, err := metric.TrendScore(m, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -465,18 +464,18 @@ func BenchmarkAblationJointNormalization(b *testing.B) {
 	var joint, isolated float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		normedJ, err := core.JointNormalize([]*mat.Matrix{xn, xs})
+		normedJ, err := metric.JointNormalize([]*mat.Matrix{xn, xs})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if joint, err = core.CoverageScore(normedJ[0], opts); err != nil {
+		if joint, err = metric.CoverageScore(normedJ[0], opts); err != nil {
 			b.Fatal(err)
 		}
-		normedI, err := core.JointNormalize([]*mat.Matrix{xn})
+		normedI, err := metric.JointNormalize([]*mat.Matrix{xn})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if isolated, err = core.CoverageScore(normedI[0], opts); err != nil {
+		if isolated, err = metric.CoverageScore(normedI[0], opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -508,7 +507,7 @@ func BenchmarkAblationLHSVsRandomSubset(b *testing.B) {
 		for _, k := range idx {
 			sub.Workloads = append(sub.Workloads, sp.Workloads[k])
 		}
-		scores, err := core.ScoreSuites([]*perf.SuiteMeasurement{sp, sub}, opts)
+		scores, err := metric.ScoreSuites(context.Background(), []*perf.SuiteMeasurement{sp, sub}, opts, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -519,7 +518,7 @@ func BenchmarkAblationLHSVsRandomSubset(b *testing.B) {
 	b.ReportMetric(100*randDev, "random-deviation-%")
 }
 
-func deviationOf(full, sub core.Scores) float64 {
+func deviationOf(full, sub metric.Scores) float64 {
 	rel := func(f, s float64) float64 {
 		if f == 0 {
 			if s == 0 {
@@ -544,7 +543,7 @@ func deviationOf(full, sub core.Scores) float64 {
 func BenchmarkAblationHierarchicalBaseline(b *testing.B) {
 	sp := suiteMeas(b, "spec17")
 	x := mat.FromRows(sp.Matrix(perf.AllCounters()))
-	normed, err := core.JointNormalize([]*mat.Matrix{x})
+	normed, err := metric.JointNormalize([]*mat.Matrix{x})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -583,11 +582,11 @@ func BenchmarkAblationWarmupDrop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		opts := perspector.DefaultOptions()
 		var err error
-		if with, err = core.TrendScore(nb, opts); err != nil {
+		if with, err = metric.TrendScore(nb, opts); err != nil {
 			b.Fatal(err)
 		}
 		opts.WarmupFrac = 0
-		if without, err = core.TrendScore(nb, opts); err != nil {
+		if without, err = metric.TrendScore(nb, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -7,8 +7,8 @@ package perspector_test
 // default options, joint normalization over all six stock suites). They
 // are hex float literals, so the comparison is exact — any change to
 // evaluation order, normalization bounds, or parallel reduction shape
-// fails this test, through the legacy wrappers and the engine entry
-// points alike, at any worker count.
+// fails this test, through the public Compare/CompareContext and the
+// engine entry point alike, at any worker count.
 
 import (
 	"context"
@@ -44,11 +44,11 @@ func TestGoldenEquivalence(t *testing.T) {
 	for _, workers := range []int{1, 3, runtime.NumCPU()} {
 		perspector.SetWorkers(workers)
 
-		legacy, err := perspector.Compare(ms, opts)
+		viaCompare, err := perspector.Compare(ms, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireIdenticalScores(t, "legacy wrapper", goldenScores, legacy)
+		requireIdenticalScores(t, "Compare", goldenScores, viaCompare)
 
 		viaCtx, err := perspector.CompareContext(context.Background(), ms, opts)
 		if err != nil {

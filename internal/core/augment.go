@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 )
 
@@ -18,16 +20,16 @@ type Augmentation struct {
 	Names []string
 	// Trace[k] is the score of base+Chosen[:k] (Trace[0] = base alone),
 	// so the marginal value of every addition is visible.
-	Trace []Scores
+	Trace []metric.Scores
 }
 
 // AugmentObjective scores a suite for the greedy search; higher is
 // better. The default balances the paper's four criteria.
-type AugmentObjective func(Scores) float64
+type AugmentObjective func(metric.Scores) float64
 
 // DefaultObjective prefers high coverage and trend, low clustering and
 // spread, each term scaled to comparable magnitudes.
-func DefaultObjective(s Scores) float64 {
+func DefaultObjective(s metric.Scores) float64 {
 	return 4*s.Coverage + s.Trend/100 - s.Cluster - s.Spread/2
 }
 
@@ -39,7 +41,7 @@ func DefaultObjective(s Scores) float64 {
 //
 // Scores along the trace are computed in isolation (own-bounds
 // normalization), which is the right frame for iterating on one suite.
-func Augment(base, candidates *perf.SuiteMeasurement, opts Options, k int, objective AugmentObjective) (*Augmentation, error) {
+func Augment(base, candidates *perf.SuiteMeasurement, opts metric.Options, k int, objective AugmentObjective) (*Augmentation, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -59,16 +61,16 @@ func Augment(base, candidates *perf.SuiteMeasurement, opts Options, k int, objec
 
 	current := &perf.SuiteMeasurement{Suite: base.Suite}
 	current.Workloads = append(current.Workloads, base.Workloads...)
-	baseScore, err := ScoreSuite(current, opts)
+	baseScore, err := metric.ScoreSuite(context.Background(), current, opts, nil)
 	if err != nil {
 		return nil, err
 	}
-	aug := &Augmentation{Trace: []Scores{baseScore}}
+	aug := &Augmentation{Trace: []metric.Scores{baseScore}}
 	used := make([]bool, len(candidates.Workloads))
 
 	for step := 0; step < k; step++ {
 		bestIdx, bestVal := -1, math.Inf(-1)
-		var bestScore Scores
+		var bestScore metric.Scores
 		for c := range candidates.Workloads {
 			if used[c] {
 				continue
@@ -76,7 +78,7 @@ func Augment(base, candidates *perf.SuiteMeasurement, opts Options, k int, objec
 			trial := &perf.SuiteMeasurement{Suite: current.Suite}
 			trial.Workloads = append(trial.Workloads, current.Workloads...)
 			trial.Workloads = append(trial.Workloads, candidates.Workloads[c])
-			s, err := ScoreSuite(trial, opts)
+			s, err := metric.ScoreSuite(context.Background(), trial, opts, nil)
 			if err != nil {
 				return nil, fmt.Errorf("core: Augment trial %q: %w",
 					candidates.Workloads[c].Workload, err)

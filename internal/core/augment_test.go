@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
 )
@@ -36,7 +37,7 @@ func augmentFixtures() (base, cands *perf.SuiteMeasurement) {
 
 func TestAugmentBasics(t *testing.T) {
 	base, cands := augmentFixtures()
-	aug, err := Augment(base, cands, DefaultOptions(), 2, nil)
+	aug, err := Augment(base, cands, metric.DefaultOptions(), 2, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,12 +69,12 @@ func TestAugmentObjectiveRespected(t *testing.T) {
 	base, cands := augmentFixtures()
 	// A deliberately perverse objective: prefer high clustering. The
 	// duplicate candidate should then be attractive.
-	perverse := func(s Scores) float64 { return s.Cluster }
-	aug, err := Augment(base, cands, DefaultOptions(), 1, perverse)
+	perverse := func(s metric.Scores) float64 { return s.Cluster }
+	aug, err := Augment(base, cands, metric.DefaultOptions(), 1, perverse)
 	if err != nil {
 		t.Fatal(err)
 	}
-	def, err := Augment(base, cands, DefaultOptions(), 1, nil)
+	def, err := Augment(base, cands, metric.DefaultOptions(), 1, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +85,14 @@ func TestAugmentObjectiveRespected(t *testing.T) {
 
 func TestAugmentErrors(t *testing.T) {
 	base, cands := augmentFixtures()
-	if _, err := Augment(base, cands, DefaultOptions(), 0, nil); err == nil {
+	if _, err := Augment(base, cands, metric.DefaultOptions(), 0, nil); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := Augment(base, cands, DefaultOptions(), 99, nil); err == nil {
+	if _, err := Augment(base, cands, metric.DefaultOptions(), 99, nil); err == nil {
 		t.Fatal("k beyond pool accepted")
 	}
 	empty := &perf.SuiteMeasurement{Suite: "empty"}
-	if _, err := Augment(empty, cands, DefaultOptions(), 1, nil); err == nil {
+	if _, err := Augment(empty, cands, metric.DefaultOptions(), 1, nil); err == nil {
 		t.Fatal("empty base accepted")
 	}
 }
@@ -99,7 +100,7 @@ func TestAugmentErrors(t *testing.T) {
 func TestAugmentDoesNotMutateInputs(t *testing.T) {
 	base, cands := augmentFixtures()
 	nBase, nCands := len(base.Workloads), len(cands.Workloads)
-	if _, err := Augment(base, cands, DefaultOptions(), 2, nil); err != nil {
+	if _, err := Augment(base, cands, metric.DefaultOptions(), 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	if len(base.Workloads) != nBase || len(cands.Workloads) != nCands {

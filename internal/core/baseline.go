@@ -38,7 +38,7 @@ type BaselineResult struct {
 // opts.PCAVariance, agglomerative clustering with the given linkage, cut
 // at k clusters. It returns flat labels, the silhouette of the cut, and a
 // representative workload per cluster.
-func HierarchicalBaseline(sm *perf.SuiteMeasurement, opts Options, linkage cluster.Linkage, k int) (*BaselineResult, error) {
+func HierarchicalBaseline(sm *perf.SuiteMeasurement, opts metric.Options, linkage cluster.Linkage, k int) (*BaselineResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -126,7 +126,7 @@ type PhaseProfile struct {
 
 // ProfilePhases runs the phase detector over every workload and counter.
 // window/threshold follow DetectPhases; warmup follows opts.WarmupFrac.
-func ProfilePhases(sm *perf.SuiteMeasurement, opts Options, window int, threshold float64) (*PhaseProfile, error) {
+func ProfilePhases(sm *perf.SuiteMeasurement, opts metric.Options, window int, threshold float64) (*PhaseProfile, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

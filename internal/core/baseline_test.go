@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"perspector/internal/cluster"
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
 )
@@ -20,7 +21,7 @@ func TestHierarchicalBaselineTwoGroups(t *testing.T) {
 		vecs = append(vecs, fullVec(1e6, src))
 	}
 	sm := synthSuite("base", vecs, nil)
-	res, err := HierarchicalBaseline(sm, DefaultOptions(), cluster.AverageLinkage, 2)
+	res, err := HierarchicalBaseline(sm, metric.DefaultOptions(), cluster.AverageLinkage, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,13 +59,13 @@ func TestHierarchicalBaselineTwoGroups(t *testing.T) {
 
 func TestHierarchicalBaselineErrors(t *testing.T) {
 	sm := synthSuite("e", [][]float64{{1, 2}, {3, 4}}, nil)
-	if _, err := HierarchicalBaseline(sm, DefaultOptions(), cluster.AverageLinkage, 0); err == nil {
+	if _, err := HierarchicalBaseline(sm, metric.DefaultOptions(), cluster.AverageLinkage, 0); err == nil {
 		t.Fatal("k=0 accepted")
 	}
-	if _, err := HierarchicalBaseline(sm, DefaultOptions(), cluster.AverageLinkage, 3); err == nil {
+	if _, err := HierarchicalBaseline(sm, metric.DefaultOptions(), cluster.AverageLinkage, 3); err == nil {
 		t.Fatal("k>n accepted")
 	}
-	bad := DefaultOptions()
+	bad := metric.DefaultOptions()
 	bad.Counters = nil
 	if _, err := HierarchicalBaseline(sm, bad, cluster.AverageLinkage, 1); err == nil {
 		t.Fatal("no counters accepted")
@@ -77,7 +78,7 @@ func TestProfilePhases(t *testing.T) {
 	flat := flatSeries(100, 60)
 	sm := synthSuite("p", [][]float64{{1}, {1}},
 		[][]float64{phased, flat})
-	opts := DefaultOptions()
+	opts := metric.DefaultOptions()
 	opts.WarmupFrac = 0
 	prof, err := ProfilePhases(sm, opts, 5, 2)
 	if err != nil {
@@ -102,11 +103,11 @@ func TestProfilePhases(t *testing.T) {
 
 func TestProfilePhasesErrors(t *testing.T) {
 	sm := synthSuite("e", [][]float64{{1}}, nil) // no series
-	if _, err := ProfilePhases(sm, DefaultOptions(), 5, 2); err == nil {
+	if _, err := ProfilePhases(sm, metric.DefaultOptions(), 5, 2); err == nil {
 		t.Fatal("missing series accepted")
 	}
 	withSeries := synthSuite("s", [][]float64{{1}}, [][]float64{flatSeries(1, 30)})
-	if _, err := ProfilePhases(withSeries, DefaultOptions(), 0, 2); err == nil {
+	if _, err := ProfilePhases(withSeries, metric.DefaultOptions(), 0, 2); err == nil {
 		t.Fatal("window 0 accepted")
 	}
 }
@@ -122,7 +123,7 @@ func TestProfilePhasesWarmupExcluded(t *testing.T) {
 		}
 	}
 	sm := synthSuite("w", [][]float64{{1}}, [][]float64{series})
-	opts := DefaultOptions() // WarmupFrac = 0.1 drops the first 10 samples
+	opts := metric.DefaultOptions() // WarmupFrac = 0.1 drops the first 10 samples
 	prof, err := ProfilePhases(sm, opts, 5, 2)
 	if err != nil {
 		t.Fatal(err)

@@ -3,72 +3,8 @@
 // baselines, redundancy analysis, ranking, stability, and counter-series
 // phase detection.
 //
-// The four §III suite-quality scores themselves live in internal/metric
-// as registered metrics over shared Artifacts; the identifiers here
-// (Options, Scores, ClusterScore, …) are thin compatibility wrappers kept
-// so existing callers and the public perspector package keep compiling.
-// New code that wants cancellation or a custom metric set should call
-// internal/metric directly.
+// The four §III suite-quality scores live in internal/metric as
+// registered metrics over shared Artifacts; this package takes
+// metric.Options and returns metric.Scores, and scores suites through
+// metric.ScoreSuite and metric.ScoreSuites directly.
 package core
-
-import (
-	"context"
-
-	"perspector/internal/mat"
-	"perspector/internal/metric"
-	"perspector/internal/perf"
-)
-
-// Options configures score computation. Alias of metric.Options.
-type Options = metric.Options
-
-// Scores holds the four Perspector metrics for one suite. Alias of
-// metric.Scores.
-type Scores = metric.Scores
-
-// DefaultOptions mirrors the paper's configuration: all counters, 98 %
-// retained variance, full DTW on a 100-point percentile grid.
-func DefaultOptions() Options { return metric.DefaultOptions() }
-
-// ClusterScore implements §III-A / Eq. 6. See metric.ClusterScore.
-func ClusterScore(sm *perf.SuiteMeasurement, opts Options) (float64, error) {
-	return metric.ClusterScore(sm, opts)
-}
-
-// TrendScore implements §III-B / Eq. 7–8. See metric.TrendScore.
-func TrendScore(sm *perf.SuiteMeasurement, opts Options) (float64, error) {
-	return metric.TrendScore(sm, opts)
-}
-
-// CoverageScore implements §III-C / Eq. 11–13 on an already-normalized
-// matrix. See metric.CoverageScore.
-func CoverageScore(xNorm *mat.Matrix, opts Options) (float64, error) {
-	return metric.CoverageScore(xNorm, opts)
-}
-
-// SpreadScore implements §III-D / Eq. 14 on an already-normalized
-// matrix. See metric.SpreadScore.
-func SpreadScore(xNorm *mat.Matrix, opts Options) (float64, error) {
-	return metric.SpreadScore(xNorm, opts)
-}
-
-// JointNormalize min-max normalizes the matrices of several suites with
-// shared per-counter bounds (Eq. 9–10). See metric.JointNormalize.
-func JointNormalize(xs []*mat.Matrix) ([]*mat.Matrix, error) {
-	return metric.JointNormalize(xs)
-}
-
-// ScoreSuites computes all four Perspector scores for each suite under
-// the joint normalization of Eq. 9–10, exactly as the paper compares
-// suites in Fig. 3. Wrapper over metric.ScoreSuites with a background
-// context and the default registry; totals-only measurements come back
-// with Trend zero via the engine's capability check.
-func ScoreSuites(sms []*perf.SuiteMeasurement, opts Options) ([]Scores, error) {
-	return metric.ScoreSuites(context.Background(), sms, opts, nil)
-}
-
-// ScoreSuite scores one suite in isolation (joint normalization
-// degenerates to the suite's own bounds).
-func ScoreSuite(sm *perf.SuiteMeasurement, opts Options) (Scores, error) {
-	return metric.ScoreSuite(context.Background(), sm, opts, nil)
-}

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"perspector/internal/mat"
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
 )
@@ -85,12 +87,12 @@ func TestClusterScoreClusteredVsSpread(t *testing.T) {
 		}
 		spread = append(spread, v)
 	}
-	opts := DefaultOptions()
-	cClustered, err := ClusterScore(synthSuite("c", clustered, nil), opts)
+	opts := metric.DefaultOptions()
+	cClustered, err := metric.ClusterScore(synthSuite("c", clustered, nil), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cSpread, err := ClusterScore(synthSuite("s", spread, nil), opts)
+	cSpread, err := metric.ClusterScore(synthSuite("s", spread, nil), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,9 +106,9 @@ func TestClusterScoreClusteredVsSpread(t *testing.T) {
 }
 
 func TestClusterScoreTinySuites(t *testing.T) {
-	opts := DefaultOptions()
+	opts := metric.DefaultOptions()
 	// n < 3: 0 by convention.
-	s, err := ClusterScore(synthSuite("t", [][]float64{{1, 2}, {3, 4}}, nil), opts)
+	s, err := metric.ClusterScore(synthSuite("t", [][]float64{{1, 2}, {3, 4}}, nil), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +116,7 @@ func TestClusterScoreTinySuites(t *testing.T) {
 		t.Fatalf("n=2 score = %v", s)
 	}
 	// n = 3: single k=2 silhouette, must not error.
-	if _, err := ClusterScore(synthSuite("t3", [][]float64{{1, 1}, {2, 2}, {9, 9}}, nil), opts); err != nil {
+	if _, err := metric.ClusterScore(synthSuite("t3", [][]float64{{1, 1}, {2, 2}, {9, 9}}, nil), opts); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -126,12 +128,12 @@ func TestClusterScoreDeterministic(t *testing.T) {
 		vecs = append(vecs, fullVec(1000, src))
 	}
 	sm := synthSuite("d", vecs, nil)
-	opts := DefaultOptions()
-	a, err := ClusterScore(sm, opts)
+	opts := metric.DefaultOptions()
+	a, err := metric.ClusterScore(sm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := ClusterScore(sm, opts)
+	b, err := metric.ClusterScore(sm, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,12 +158,12 @@ func TestTrendScorePhasedVsFlat(t *testing.T) {
 			flatSeries(300, 60),
 			flatSeries(400, 60),
 		})
-	opts := DefaultOptions()
-	tp, err := TrendScore(phased, opts)
+	opts := metric.DefaultOptions()
+	tp, err := metric.TrendScore(phased, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf, err := TrendScore(flat, opts)
+	tf, err := metric.TrendScore(flat, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,12 +183,12 @@ func TestTrendScoreMagnitudeInvariant(t *testing.T) {
 		return synthSuite("m", [][]float64{{1}, {1}},
 			[][]float64{s1, stepSeries(100, 10, 50)})
 	}
-	opts := DefaultOptions()
-	a, err := TrendScore(mk(1), opts)
+	opts := metric.DefaultOptions()
+	a, err := metric.TrendScore(mk(1), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrendScore(mk(1e6), opts)
+	b, err := metric.TrendScore(mk(1e6), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,14 +204,14 @@ func TestTrendScoreBandedOption(t *testing.T) {
 			stepSeriesAt(1000, 10, 60, 45),
 			flatSeries(500, 60),
 		})
-	full := DefaultOptions()
-	banded := DefaultOptions()
+	full := metric.DefaultOptions()
+	banded := metric.DefaultOptions()
 	banded.DTWBand = 10
-	tf, err := TrendScore(phased, full)
+	tf, err := metric.TrendScore(phased, full)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := TrendScore(phased, banded)
+	tb, err := metric.TrendScore(phased, banded)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,9 +221,9 @@ func TestTrendScoreBandedOption(t *testing.T) {
 	}
 	// Too-narrow bands against unequal grid lengths cannot occur (the
 	// grid fixes lengths), but a zero band must equal the full DP.
-	zero := DefaultOptions()
+	zero := metric.DefaultOptions()
 	zero.DTWBand = 0
-	tz, err := TrendScore(phased, zero)
+	tz, err := metric.TrendScore(phased, zero)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,14 +238,14 @@ func TestTrendScoreValueCDFOption(t *testing.T) {
 			stepSeriesAt(10, 1000, 60, 20),
 			flatSeries(500, 60),
 		})
-	event := DefaultOptions()
-	value := DefaultOptions()
+	event := metric.DefaultOptions()
+	value := metric.DefaultOptions()
 	value.TrendValueCDF = true
-	te, err := TrendScore(sm, event)
+	te, err := metric.TrendScore(sm, event)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tv, err := TrendScore(sm, value)
+	tv, err := metric.TrendScore(sm, value)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +256,7 @@ func TestTrendScoreValueCDFOption(t *testing.T) {
 
 func TestTrendScoreSingleWorkload(t *testing.T) {
 	sm := synthSuite("one", [][]float64{{1}}, [][]float64{flatSeries(1, 10)})
-	s, err := TrendScore(sm, DefaultOptions())
+	s, err := metric.TrendScore(sm, metric.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +267,7 @@ func TestTrendScoreSingleWorkload(t *testing.T) {
 
 func TestTrendScoreMissingSeries(t *testing.T) {
 	sm := synthSuite("bad", [][]float64{{1}, {2}}, nil)
-	if _, err := TrendScore(sm, DefaultOptions()); err == nil {
+	if _, err := metric.TrendScore(sm, metric.DefaultOptions()); err == nil {
 		t.Fatal("missing series accepted")
 	}
 }
@@ -275,7 +277,7 @@ func TestJointNormalizePreservesRelativeRange(t *testing.T) {
 	// joint normalization A's max is 0.1, B's max is 1 (§III-C1).
 	a := mat.FromRows([][]float64{{0}, {10000}})
 	b := mat.FromRows([][]float64{{0}, {100000}})
-	normed, err := JointNormalize([]*mat.Matrix{a, b})
+	normed, err := metric.JointNormalize([]*mat.Matrix{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,15 +290,15 @@ func TestJointNormalizePreservesRelativeRange(t *testing.T) {
 }
 
 func TestJointNormalizeErrors(t *testing.T) {
-	if _, err := JointNormalize(nil); err == nil {
+	if _, err := metric.JointNormalize(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
 	a := mat.New(1, 2)
 	b := mat.New(1, 3)
-	if _, err := JointNormalize([]*mat.Matrix{a, b}); err == nil {
+	if _, err := metric.JointNormalize([]*mat.Matrix{a, b}); err == nil {
 		t.Fatal("column mismatch accepted")
 	}
-	if _, err := JointNormalize([]*mat.Matrix{mat.New(0, 2)}); err == nil {
+	if _, err := metric.JointNormalize([]*mat.Matrix{mat.New(0, 2)}); err == nil {
 		t.Fatal("empty matrix accepted")
 	}
 }
@@ -311,12 +313,12 @@ func TestCoverageScoreWideVsNarrow(t *testing.T) {
 			narrow.Set(i, j, 0.5+0.01*src.Float64()) // tiny blob
 		}
 	}
-	opts := DefaultOptions()
-	cw, err := CoverageScore(wide, opts)
+	opts := metric.DefaultOptions()
+	cw, err := metric.CoverageScore(wide, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cn, err := CoverageScore(narrow, opts)
+	cn, err := metric.CoverageScore(narrow, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -336,12 +338,12 @@ func TestSpreadScoreUniformVsClumped(t *testing.T) {
 			clumped.Set(i, j, 0.48+0.04*src.Float64())
 		}
 	}
-	opts := DefaultOptions()
-	su, err := SpreadScore(uniform, opts)
+	opts := metric.DefaultOptions()
+	su, err := metric.SpreadScore(uniform, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc, err := SpreadScore(clumped, opts)
+	sc, err := metric.SpreadScore(clumped, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +375,7 @@ func TestScoreSuitesEndToEnd(t *testing.T) {
 	}
 	a := synthSuite("flat", flatVecs, mkSeries(0))
 	b := synthSuite("phased", phasedVecs, mkSeries(1))
-	scores, err := ScoreSuites([]*perf.SuiteMeasurement{a, b}, DefaultOptions())
+	scores, err := metric.ScoreSuites(context.Background(), []*perf.SuiteMeasurement{a, b}, metric.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -405,11 +407,11 @@ func TestScoreSuiteMatchesScoreSuites(t *testing.T) {
 		series = append(series, stepSeries(float64(i+1), float64(100*(i+1)), 30))
 	}
 	sm := synthSuite("solo", vecs, series)
-	one, err := ScoreSuite(sm, DefaultOptions())
+	one, err := metric.ScoreSuite(context.Background(), sm, metric.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	many, err := ScoreSuites([]*perf.SuiteMeasurement{sm}, DefaultOptions())
+	many, err := metric.ScoreSuites(context.Background(), []*perf.SuiteMeasurement{sm}, metric.DefaultOptions(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,24 +422,24 @@ func TestScoreSuiteMatchesScoreSuites(t *testing.T) {
 
 func TestOptionsValidation(t *testing.T) {
 	sm := synthSuite("v", [][]float64{{1}, {2}, {3}, {4}}, nil)
-	bad := DefaultOptions()
+	bad := metric.DefaultOptions()
 	bad.Counters = nil
-	if _, err := ClusterScore(sm, bad); err == nil {
+	if _, err := metric.ClusterScore(sm, bad); err == nil {
 		t.Fatal("no counters accepted")
 	}
-	bad = DefaultOptions()
+	bad = metric.DefaultOptions()
 	bad.DTWGrid = 0
-	if _, err := TrendScore(sm, bad); err == nil {
+	if _, err := metric.TrendScore(sm, bad); err == nil {
 		t.Fatal("zero grid accepted")
 	}
-	bad = DefaultOptions()
+	bad = metric.DefaultOptions()
 	bad.PCAVariance = 0
-	if _, err := CoverageScore(mat.New(2, 2), bad); err == nil {
+	if _, err := metric.CoverageScore(mat.New(2, 2), bad); err == nil {
 		t.Fatal("zero variance accepted")
 	}
-	bad = DefaultOptions()
+	bad = metric.DefaultOptions()
 	bad.KMeansRestarts = 0
-	if _, err := ClusterScore(sm, bad); err == nil {
+	if _, err := metric.ClusterScore(sm, bad); err == nil {
 		t.Fatal("zero restarts accepted")
 	}
 }
@@ -468,15 +470,15 @@ func TestFocusedScoringChangesScores(t *testing.T) {
 		vecs = append(vecs, v)
 	}
 	sm := synthSuite("focus", vecs, nil)
-	llcOpts := DefaultOptions()
+	llcOpts := metric.DefaultOptions()
 	llcOpts.Counters = perf.GroupLLC().Counters
-	tlbOpts := DefaultOptions()
+	tlbOpts := metric.DefaultOptions()
 	tlbOpts.Counters = perf.GroupTLB().Counters
-	cLLC, err := ClusterScore(sm, llcOpts)
+	cLLC, err := metric.ClusterScore(sm, llcOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cTLB, err := ClusterScore(sm, tlbOpts)
+	cTLB, err := metric.ClusterScore(sm, tlbOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

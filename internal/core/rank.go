@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"perspector/internal/metric"
 )
 
 // Ranking orders compared suites per metric and aggregates an overall
@@ -25,9 +27,9 @@ type Ranking struct {
 }
 
 // Rank builds a Ranking from a set of comparable scores (produced by one
-// ScoreSuites call so the normalization is shared). It errors on an empty
+// metric.ScoreSuites call so the normalization is shared). It errors on an empty
 // or duplicate-named input.
-func Rank(scores []Scores) (*Ranking, error) {
+func Rank(scores []metric.Scores) (*Ranking, error) {
 	if len(scores) == 0 {
 		return nil, fmt.Errorf("core: Rank with no scores")
 	}
@@ -42,7 +44,7 @@ func Rank(scores []Scores) (*Ranking, error) {
 		seen[s.Suite] = true
 	}
 
-	order := func(value func(Scores) float64, ascending bool) []string {
+	order := func(value func(metric.Scores) float64, ascending bool) []string {
 		idx := make([]int, len(scores))
 		for i := range idx {
 			idx[i] = i
@@ -62,10 +64,10 @@ func Rank(scores []Scores) (*Ranking, error) {
 	}
 
 	r := &Ranking{
-		ByCluster:  order(func(s Scores) float64 { return s.Cluster }, true),
-		ByTrend:    order(func(s Scores) float64 { return s.Trend }, false),
-		ByCoverage: order(func(s Scores) float64 { return s.Coverage }, false),
-		BySpread:   order(func(s Scores) float64 { return s.Spread }, true),
+		ByCluster:  order(func(s metric.Scores) float64 { return s.Cluster }, true),
+		ByTrend:    order(func(s metric.Scores) float64 { return s.Trend }, false),
+		ByCoverage: order(func(s metric.Scores) float64 { return s.Coverage }, false),
+		BySpread:   order(func(s metric.Scores) float64 { return s.Spread }, true),
 		MeanRank:   make(map[string]float64, len(scores)),
 	}
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"testing"
+
+	"perspector/internal/metric"
 )
 
 func TestRankOrdering(t *testing.T) {
-	scores := []Scores{
+	scores := []metric.Scores{
 		{Suite: "a", Cluster: 0.1, Trend: 100, Coverage: 0.5, Spread: 0.2},
 		{Suite: "b", Cluster: 0.3, Trend: 50, Coverage: 0.1, Spread: 0.4},
 		{Suite: "c", Cluster: 0.2, Trend: 75, Coverage: 0.3, Spread: 0.3},
@@ -39,7 +41,7 @@ func TestRankOrdering(t *testing.T) {
 }
 
 func TestRankMixedWinners(t *testing.T) {
-	scores := []Scores{
+	scores := []metric.Scores{
 		{Suite: "x", Cluster: 0.1, Trend: 10, Coverage: 0.9, Spread: 0.9},
 		{Suite: "y", Cluster: 0.9, Trend: 90, Coverage: 0.1, Spread: 0.1},
 	}
@@ -60,16 +62,16 @@ func TestRankErrors(t *testing.T) {
 	if _, err := Rank(nil); err == nil {
 		t.Fatal("empty input accepted")
 	}
-	if _, err := Rank([]Scores{{Suite: ""}}); err == nil {
+	if _, err := Rank([]metric.Scores{{Suite: ""}}); err == nil {
 		t.Fatal("unnamed suite accepted")
 	}
-	if _, err := Rank([]Scores{{Suite: "a"}, {Suite: "a"}}); err == nil {
+	if _, err := Rank([]metric.Scores{{Suite: "a"}, {Suite: "a"}}); err == nil {
 		t.Fatal("duplicate suite accepted")
 	}
 }
 
 func TestRankSingleSuite(t *testing.T) {
-	r, err := Rank([]Scores{{Suite: "only", Cluster: 1, Trend: 1, Coverage: 1, Spread: 1}})
+	r, err := Rank([]metric.Scores{{Suite: "only", Cluster: 1, Trend: 1, Coverage: 1, Spread: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}

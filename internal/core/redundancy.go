@@ -30,7 +30,7 @@ type RedundantPair struct {
 // threshold across the suite's workloads, strongest first. Constant
 // counters correlate with nothing (r = 0 by convention). threshold must
 // lie in (0, 1].
-func CounterRedundancy(sm *perf.SuiteMeasurement, opts Options, threshold float64) ([]RedundantPair, error) {
+func CounterRedundancy(sm *perf.SuiteMeasurement, opts metric.Options, threshold float64) ([]RedundantPair, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
 )
@@ -20,7 +21,7 @@ func TestCounterRedundancyFindsCorrelatedPair(t *testing.T) {
 		vecs = append(vecs, v)
 	}
 	sm := synthSuite("red", vecs, nil)
-	pairs, err := CounterRedundancy(sm, DefaultOptions(), 0.95)
+	pairs, err := CounterRedundancy(sm, metric.DefaultOptions(), 0.95)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +67,7 @@ func TestCounterRedundancyIndependentData(t *testing.T) {
 		vecs = append(vecs, v)
 	}
 	sm := synthSuite("ind", vecs, nil)
-	pairs, err := CounterRedundancy(sm, DefaultOptions(), 0.9)
+	pairs, err := CounterRedundancy(sm, metric.DefaultOptions(), 0.9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,14 +78,14 @@ func TestCounterRedundancyIndependentData(t *testing.T) {
 
 func TestCounterRedundancyErrors(t *testing.T) {
 	sm := synthSuite("e", [][]float64{{1, 2}, {3, 4}}, nil)
-	if _, err := CounterRedundancy(sm, DefaultOptions(), 0); err == nil {
+	if _, err := CounterRedundancy(sm, metric.DefaultOptions(), 0); err == nil {
 		t.Fatal("threshold 0 accepted")
 	}
-	if _, err := CounterRedundancy(sm, DefaultOptions(), 1.5); err == nil {
+	if _, err := CounterRedundancy(sm, metric.DefaultOptions(), 1.5); err == nil {
 		t.Fatal("threshold > 1 accepted")
 	}
 	one := synthSuite("one", [][]float64{{1, 2}}, nil)
-	if _, err := CounterRedundancy(one, DefaultOptions(), 0.9); err == nil {
+	if _, err := CounterRedundancy(one, metric.DefaultOptions(), 0.9); err == nil {
 		t.Fatal("single workload accepted")
 	}
 }
@@ -101,7 +102,7 @@ func TestCounterRedundancyConstantCounter(t *testing.T) {
 		vecs = append(vecs, v)
 	}
 	sm := synthSuite("const", vecs, nil)
-	pairs, err := CounterRedundancy(sm, DefaultOptions(), 0.5)
+	pairs, err := CounterRedundancy(sm, metric.DefaultOptions(), 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}

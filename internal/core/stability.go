@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 )
 
@@ -15,21 +17,21 @@ import (
 type Stability struct {
 	Suite string
 	// Mean and StdDev of each score across the runs.
-	Mean, StdDev Scores
+	Mean, StdDev metric.Scores
 	// Runs is the number of measurements aggregated.
 	Runs int
 }
 
 // RelativeStdDev returns per-score coefficient-of-variation values
 // (StdDev/|Mean|, 0 when the mean is 0), a unitless stability summary.
-func (s *Stability) RelativeStdDev() Scores {
+func (s *Stability) RelativeStdDev() metric.Scores {
 	rel := func(sd, mean float64) float64 {
 		if mean == 0 {
 			return 0
 		}
 		return sd / math.Abs(mean)
 	}
-	return Scores{
+	return metric.Scores{
 		Suite:    s.Suite,
 		Cluster:  rel(s.StdDev.Cluster, s.Mean.Cluster),
 		Trend:    rel(s.StdDev.Trend, s.Mean.Trend),
@@ -42,17 +44,17 @@ func (s *Stability) RelativeStdDev() Scores {
 // suite (typically produced with different Config seeds) in isolation and
 // aggregates mean and standard deviation per metric. All measurements
 // must belong to the same suite.
-func ScoreStability(runs []*perf.SuiteMeasurement, opts Options) (*Stability, error) {
+func ScoreStability(runs []*perf.SuiteMeasurement, opts metric.Options) (*Stability, error) {
 	if len(runs) < 2 {
 		return nil, fmt.Errorf("core: ScoreStability needs at least 2 runs, got %d", len(runs))
 	}
 	name := runs[0].Suite
-	var all []Scores
+	var all []metric.Scores
 	for i, sm := range runs {
 		if sm.Suite != name {
 			return nil, fmt.Errorf("core: ScoreStability run %d is suite %q, want %q", i, sm.Suite, name)
 		}
-		s, err := ScoreSuite(sm, opts)
+		s, err := metric.ScoreSuite(context.Background(), sm, opts, nil)
 		if err != nil {
 			return nil, fmt.Errorf("core: ScoreStability run %d: %w", i, err)
 		}
@@ -60,7 +62,7 @@ func ScoreStability(runs []*perf.SuiteMeasurement, opts Options) (*Stability, er
 	}
 
 	n := float64(len(all))
-	var mean Scores
+	var mean metric.Scores
 	mean.Suite = name
 	for _, s := range all {
 		mean.Cluster += s.Cluster / n
@@ -68,7 +70,7 @@ func ScoreStability(runs []*perf.SuiteMeasurement, opts Options) (*Stability, er
 		mean.Coverage += s.Coverage / n
 		mean.Spread += s.Spread / n
 	}
-	var sd Scores
+	var sd metric.Scores
 	sd.Suite = name
 	for _, s := range all {
 		sd.Cluster += sq(s.Cluster - mean.Cluster)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
 )
@@ -34,7 +35,7 @@ func TestScoreStabilityBasics(t *testing.T) {
 	for s := uint64(1); s <= 5; s++ {
 		runs = append(runs, noisySuiteRun(s))
 	}
-	st, err := ScoreStability(runs, DefaultOptions())
+	st, err := ScoreStability(runs, metric.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestScoreStabilityBasics(t *testing.T) {
 
 func TestScoreStabilityIdenticalRuns(t *testing.T) {
 	a := noisySuiteRun(7)
-	st, err := ScoreStability([]*perf.SuiteMeasurement{a, a, a}, DefaultOptions())
+	st, err := ScoreStability([]*perf.SuiteMeasurement{a, a, a}, metric.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,18 +68,18 @@ func TestScoreStabilityIdenticalRuns(t *testing.T) {
 
 func TestScoreStabilityErrors(t *testing.T) {
 	a := noisySuiteRun(1)
-	if _, err := ScoreStability([]*perf.SuiteMeasurement{a}, DefaultOptions()); err == nil {
+	if _, err := ScoreStability([]*perf.SuiteMeasurement{a}, metric.DefaultOptions()); err == nil {
 		t.Fatal("single run accepted")
 	}
 	b := noisySuiteRun(2)
 	b.Suite = "other"
-	if _, err := ScoreStability([]*perf.SuiteMeasurement{a, b}, DefaultOptions()); err == nil {
+	if _, err := ScoreStability([]*perf.SuiteMeasurement{a, b}, metric.DefaultOptions()); err == nil {
 		t.Fatal("mixed suites accepted")
 	}
 }
 
 func TestRelativeStdDevZeroMean(t *testing.T) {
-	st := &Stability{Mean: Scores{Cluster: 0}, StdDev: Scores{Cluster: 0.5}}
+	st := &Stability{Mean: metric.Scores{Cluster: 0}, StdDev: metric.Scores{Cluster: 0.5}}
 	if r := st.RelativeStdDev(); r.Cluster != 0 {
 		t.Fatalf("zero-mean relative sd = %v", r.Cluster)
 	}

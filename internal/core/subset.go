@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -22,7 +23,7 @@ type SubsetResult struct {
 	// Full and Subset are the four scores of the complete suite and of
 	// the selected subset, computed under joint normalization so the
 	// coverage/spread comparison is apples-to-apples.
-	Full, Subset Scores
+	Full, Subset metric.Scores
 	// Deviation is the mean relative deviation across the four scores,
 	// the "6.53 %" quantity the paper reports for SPEC'17 43→8.
 	Deviation float64
@@ -52,7 +53,7 @@ func DefaultSubsetOptions(size int) SubsetOptions {
 // and each point is matched to its nearest workload (without
 // replacement). It then scores the full suite and the subset and reports
 // the deviation.
-func Subset(sm *perf.SuiteMeasurement, opts Options, so SubsetOptions) (*SubsetResult, error) {
+func Subset(sm *perf.SuiteMeasurement, opts metric.Options, so SubsetOptions) (*SubsetResult, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
@@ -93,7 +94,7 @@ func Subset(sm *perf.SuiteMeasurement, opts Options, so SubsetOptions) (*SubsetR
 
 	// Joint normalization across full suite and subset keeps the
 	// coverage/spread scores comparable.
-	scores, err := ScoreSuites([]*perf.SuiteMeasurement{sm, sub}, opts)
+	scores, err := metric.ScoreSuites(context.Background(), []*perf.SuiteMeasurement{sm, sub}, opts, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -126,7 +127,7 @@ func rankNormalizeColumns(x *mat.Matrix) *mat.Matrix {
 // scoreDeviation is the mean relative deviation across the four scores.
 // Scores whose full-suite value is ~0 are compared absolutely to avoid
 // division blow-ups.
-func scoreDeviation(full, sub Scores) float64 {
+func scoreDeviation(full, sub metric.Scores) float64 {
 	pairs := [][2]float64{
 		{full.Cluster, sub.Cluster},
 		{full.Trend, sub.Trend},

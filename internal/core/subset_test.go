@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
 )
@@ -28,7 +29,7 @@ func bigSyntheticSuite(n int, seed uint64) *perf.SuiteMeasurement {
 
 func TestSubsetBasic(t *testing.T) {
 	sm := bigSyntheticSuite(43, 1)
-	res, err := Subset(sm, DefaultOptions(), DefaultSubsetOptions(8))
+	res, err := Subset(sm, metric.DefaultOptions(), DefaultSubsetOptions(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,11 +53,11 @@ func TestSubsetBasic(t *testing.T) {
 
 func TestSubsetDeterministic(t *testing.T) {
 	sm := bigSyntheticSuite(30, 2)
-	a, err := Subset(sm, DefaultOptions(), DefaultSubsetOptions(6))
+	a, err := Subset(sm, metric.DefaultOptions(), DefaultSubsetOptions(6))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Subset(sm, DefaultOptions(), DefaultSubsetOptions(6))
+	b, err := Subset(sm, metric.DefaultOptions(), DefaultSubsetOptions(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,15 +73,15 @@ func TestSubsetDeterministic(t *testing.T) {
 
 func TestSubsetErrors(t *testing.T) {
 	sm := bigSyntheticSuite(10, 3)
-	if _, err := Subset(sm, DefaultOptions(), DefaultSubsetOptions(1)); err == nil {
+	if _, err := Subset(sm, metric.DefaultOptions(), DefaultSubsetOptions(1)); err == nil {
 		t.Fatal("size 1 accepted")
 	}
-	if _, err := Subset(sm, DefaultOptions(), DefaultSubsetOptions(10)); err == nil {
+	if _, err := Subset(sm, metric.DefaultOptions(), DefaultSubsetOptions(10)); err == nil {
 		t.Fatal("size == n accepted")
 	}
 	so := DefaultSubsetOptions(4)
 	so.MaximinTries = 0
-	if _, err := Subset(sm, DefaultOptions(), so); err == nil {
+	if _, err := Subset(sm, metric.DefaultOptions(), so); err == nil {
 		t.Fatal("zero tries accepted")
 	}
 }
@@ -92,7 +93,7 @@ func TestSubsetBeatsWorstCase(t *testing.T) {
 	// loosely (6.53% for SPEC'17; allow a generous margin for synthetic
 	// data).
 	sm := bigSyntheticSuite(43, 4)
-	res, err := Subset(sm, DefaultOptions(), DefaultSubsetOptions(8))
+	res, err := Subset(sm, metric.DefaultOptions(), DefaultSubsetOptions(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,15 +103,15 @@ func TestSubsetBeatsWorstCase(t *testing.T) {
 }
 
 func TestScoreDeviationZeroForIdentical(t *testing.T) {
-	s := Scores{Cluster: 0.5, Trend: 100, Coverage: 0.02, Spread: 0.4}
+	s := metric.Scores{Cluster: 0.5, Trend: 100, Coverage: 0.02, Spread: 0.4}
 	if d := scoreDeviation(s, s); d != 0 {
 		t.Fatalf("identical deviation = %v", d)
 	}
 }
 
 func TestScoreDeviationHandlesZeroFull(t *testing.T) {
-	full := Scores{Cluster: 0, Trend: 1, Coverage: 1, Spread: 1}
-	sub := Scores{Cluster: 0.1, Trend: 1, Coverage: 1, Spread: 1}
+	full := metric.Scores{Cluster: 0, Trend: 1, Coverage: 1, Spread: 1}
+	sub := metric.Scores{Cluster: 0.1, Trend: 1, Coverage: 1, Spread: 1}
 	d := scoreDeviation(full, sub)
 	if d != 0.1/4 {
 		t.Fatalf("zero-full deviation = %v, want 0.025", d)

@@ -323,67 +323,6 @@ func abs(x int) int {
 	return x
 }
 
-// Path returns the optimal warping path as index pairs (i into a, j into b)
-// along with the DTW distance, using the full dynamic program. It panics if
-// either series is empty.
-func Path(a, b []float64) ([][2]int, float64) {
-	n, m := len(a), len(b)
-	if n == 0 || m == 0 {
-		panic(fmt.Sprintf("dtw: Path with empty series (lengths %d, %d)", n, m))
-	}
-	dp := make([][]float64, n+1)
-	for i := range dp {
-		dp[i] = make([]float64, m+1)
-		for j := range dp[i] {
-			dp[i][j] = math.Inf(1)
-		}
-	}
-	dp[0][0] = 0
-	for i := 1; i <= n; i++ {
-		for j := 1; j <= m; j++ {
-			cost := math.Abs(a[i-1] - b[j-1])
-			best := dp[i-1][j]
-			if dp[i-1][j-1] < best {
-				best = dp[i-1][j-1]
-			}
-			if dp[i][j-1] < best {
-				best = dp[i][j-1]
-			}
-			dp[i][j] = cost + best
-		}
-	}
-	// Backtrack.
-	var path [][2]int
-	i, j := n, m
-	for i > 1 || j > 1 {
-		path = append(path, [2]int{i - 1, j - 1})
-		diag, up, left := math.Inf(1), math.Inf(1), math.Inf(1)
-		if i > 1 && j > 1 {
-			diag = dp[i-1][j-1]
-		}
-		if i > 1 {
-			up = dp[i-1][j]
-		}
-		if j > 1 {
-			left = dp[i][j-1]
-		}
-		switch {
-		case diag <= up && diag <= left:
-			i, j = i-1, j-1
-		case up <= left:
-			i--
-		default:
-			j--
-		}
-	}
-	path = append(path, [2]int{0, 0})
-	// Reverse into forward order.
-	for l, r := 0, len(path)-1; l < r; l, r = l+1, r-1 {
-		path[l], path[r] = path[r], path[l]
-	}
-	return path, dp[n][m]
-}
-
 // NormalizeSeries applies the paper's §III-B1 two-axis normalization to a
 // raw counter delta time series (event counts per sample interval):
 //
@@ -457,12 +396,4 @@ func NormalizeSeriesValueCDF(series []float64, gridPoints int) []float64 {
 		return make([]float64, gridPoints+1)
 	}
 	return stat.ResampleToPercentiles(stat.CDFNormalize(series), gridPoints)
-}
-
-// NormalizedDistance is the TrendScore building block: DTW between two raw
-// series after NormalizeSeries on both, using the given percentile grid.
-func NormalizedDistance(a, b []float64, gridPoints int) float64 {
-	dz := pool.Get().(*Distancer)
-	defer pool.Put(dz)
-	return dz.Distance(dz.NormalizeSeries(a, gridPoints), dz.NormalizeSeries(b, gridPoints))
 }

@@ -131,41 +131,6 @@ func TestDistanceBandedTooNarrow(t *testing.T) {
 	}
 }
 
-func TestPathEndpoints(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{1, 3}
-	path, d := Path(a, b)
-	if path[0] != [2]int{0, 0} {
-		t.Fatalf("path start = %v", path[0])
-	}
-	if path[len(path)-1] != [2]int{2, 1} {
-		t.Fatalf("path end = %v", path[len(path)-1])
-	}
-	if d != Distance(a, b) {
-		t.Fatalf("Path distance %v != Distance %v", d, Distance(a, b))
-	}
-}
-
-func TestPathMonotone(t *testing.T) {
-	src := rng.New(3)
-	a := make([]float64, 20)
-	b := make([]float64, 15)
-	for i := range a {
-		a[i] = src.Float64()
-	}
-	for i := range b {
-		b[i] = src.Float64()
-	}
-	path, _ := Path(a, b)
-	for i := 1; i < len(path); i++ {
-		di := path[i][0] - path[i-1][0]
-		dj := path[i][1] - path[i-1][1]
-		if di < 0 || dj < 0 || (di == 0 && dj == 0) || di > 1 || dj > 1 {
-			t.Fatalf("non-monotone path step %v -> %v", path[i-1], path[i])
-		}
-	}
-}
-
 func TestNormalizeSeriesBounds(t *testing.T) {
 	series := []float64{1e9, 2e9, 1e3, 5e9}
 	out := NormalizeSeries(series, 100)
@@ -202,8 +167,8 @@ func TestNormalizedDistanceMagnitudeInvariance(t *testing.T) {
 	for i, v := range a {
 		scaled[i] = v * 1e6
 	}
-	d1 := NormalizedDistance(a, b, 100)
-	d2 := NormalizedDistance(scaled, b, 100)
+	d1 := Distance(NormalizeSeries(a, 100), NormalizeSeries(b, 100))
+	d2 := Distance(NormalizeSeries(scaled, 100), NormalizeSeries(b, 100))
 	if math.Abs(d1-d2) > 1e-6 {
 		t.Fatalf("normalization not magnitude invariant: %v vs %v", d1, d2)
 	}
@@ -226,14 +191,14 @@ func TestNormalizedDistanceLengthInvariance(t *testing.T) {
 		return s
 	}
 	long, short := mk(200), mk(50)
-	d := NormalizedDistance(long, short, 100)
+	d := Distance(NormalizeSeries(long, 100), NormalizeSeries(short, 100))
 	// A flat (steady) workload normalizes to the diagonal — clearly
 	// different from the kneed two-phase curve.
 	flat := make([]float64, 100)
 	for i := range flat {
 		flat[i] = 6
 	}
-	dFlat := NormalizedDistance(long, flat, 100)
+	dFlat := Distance(NormalizeSeries(long, 100), NormalizeSeries(flat, 100))
 	if d >= dFlat/5 {
 		t.Fatalf("same-shape d=%v not clearly below different-shape d=%v", d, dFlat)
 	}
@@ -262,8 +227,8 @@ func TestPhaseRichVsSteadyDistance(t *testing.T) {
 	for i := range steady2 {
 		steady2[i] = 700
 	}
-	dPS := NormalizedDistance(phased, steady, 100)
-	dSS := NormalizedDistance(steady, steady2, 100)
+	dPS := Distance(NormalizeSeries(phased, 100), NormalizeSeries(steady, 100))
+	dSS := Distance(NormalizeSeries(steady, 100), NormalizeSeries(steady2, 100))
 	if dPS <= dSS {
 		t.Fatalf("phased-vs-steady %v <= steady-vs-steady %v", dPS, dSS)
 	}
@@ -336,8 +301,9 @@ func BenchmarkNormalizedDistance(b *testing.B) {
 	for i := range y {
 		y[i] = src.Float64() * 1e6
 	}
+	dz := NewDistancer()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		NormalizedDistance(x, y, 100)
+		dz.Distance(dz.NormalizeSeries(x, 100), dz.NormalizeSeries(y, 100))
 	}
 }

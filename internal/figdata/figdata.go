@@ -8,9 +8,9 @@ import (
 	"fmt"
 
 	"perspector/internal/cluster"
-	"perspector/internal/core"
 	"perspector/internal/dtw"
 	"perspector/internal/mat"
+	"perspector/internal/metric"
 	"perspector/internal/pca"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
@@ -90,7 +90,7 @@ type Fig2Result struct {
 }
 
 // Fig2 builds the two synthetic point sets and scores them.
-func Fig2(seed uint64, opts core.Options) (*Fig2Result, error) {
+func Fig2(seed uint64, opts metric.Options) (*Fig2Result, error) {
 	src := rng.New(seed)
 	const dims = 8
 	wa := mat.New(16, dims)
@@ -111,16 +111,16 @@ func Fig2(seed uint64, opts core.Options) (*Fig2Result, error) {
 	}
 	var res Fig2Result
 	var err error
-	if res.CoverageA, err = core.CoverageScore(wa, opts); err != nil {
+	if res.CoverageA, err = metric.CoverageScore(wa, opts); err != nil {
 		return nil, err
 	}
-	if res.CoverageB, err = core.CoverageScore(wb, opts); err != nil {
+	if res.CoverageB, err = metric.CoverageScore(wb, opts); err != nil {
 		return nil, err
 	}
-	if res.SpreadA, err = core.SpreadScore(wa, opts); err != nil {
+	if res.SpreadA, err = metric.SpreadScore(wa, opts); err != nil {
 		return nil, err
 	}
-	if res.SpreadB, err = core.SpreadScore(wb, opts); err != nil {
+	if res.SpreadB, err = metric.SpreadScore(wb, opts); err != nil {
 		return nil, err
 	}
 	return &res, nil
@@ -138,7 +138,7 @@ type Fig4Point struct {
 // principal components and labels the workloads with k-means (k=2).
 func Fig4(sm *perf.SuiteMeasurement, seed uint64) ([]Fig4Point, error) {
 	x := mat.FromRows(sm.Matrix(perf.AllCounters()))
-	normed, err := core.JointNormalize([]*mat.Matrix{x})
+	normed, err := metric.JointNormalize([]*mat.Matrix{x})
 	if err != nil {
 		return nil, err
 	}
@@ -211,7 +211,7 @@ type Fig6Result struct {
 func Fig6(a, b *perf.SuiteMeasurement) (*Fig6Result, error) {
 	xa := mat.FromRows(a.Matrix(perf.AllCounters()))
 	xb := mat.FromRows(b.Matrix(perf.AllCounters()))
-	normed, err := core.JointNormalize([]*mat.Matrix{xa, xb})
+	normed, err := metric.JointNormalize([]*mat.Matrix{xa, xb})
 	if err != nil {
 		return nil, err
 	}

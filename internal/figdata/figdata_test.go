@@ -4,7 +4,7 @@ import (
 	"math"
 	"testing"
 
-	"perspector/internal/core"
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 	"perspector/internal/suites"
 )
@@ -75,7 +75,7 @@ func TestFig1Errors(t *testing.T) {
 }
 
 func TestFig2Properties(t *testing.T) {
-	res, err := Fig2(2023, core.DefaultOptions())
+	res, err := Fig2(2023, metric.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ func TestCalibrateEqualizesCycles(t *testing.T) {
 	cfg := testConfig()
 	// Nbench mixes fast ALU kernels and memory-bound kernels, so raw
 	// cycle counts differ; after calibration they must agree within 2x.
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	const target = 2_000_000
 	cal, err := Calibrate(s, cfg, target, 1_000, 50_000_000)
 	if err != nil {
@@ -46,7 +46,7 @@ func TestCalibrateEqualizesCycles(t *testing.T) {
 
 func TestCalibrateRespectsBounds(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	cal, err := Calibrate(s, cfg, 1_000_000_000, 1_000, 30_000)
 	if err != nil {
 		t.Fatal(err)
@@ -60,7 +60,7 @@ func TestCalibrateRespectsBounds(t *testing.T) {
 
 func TestCalibrateDoesNotMutateInput(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	orig := s.Specs[0].Instructions
 	if _, err := Calibrate(s, cfg, 1_000_000, 1_000, 10_000_000); err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestCalibrateDoesNotMutateInput(t *testing.T) {
 
 func TestCalibrateErrors(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	if _, err := Calibrate(s, cfg, 0, 1, 10); err == nil {
 		t.Fatal("zero target accepted")
 	}
@@ -94,7 +94,7 @@ func TestCalibrateErrors(t *testing.T) {
 
 func TestCalibrateDeterministic(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	a, err := Calibrate(s, cfg, 5_000_000, 1_000, 50_000_000)
 	if err != nil {
 		t.Fatal(err)

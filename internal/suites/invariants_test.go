@@ -185,29 +185,41 @@ func TestSimulatorExtremeConfigs(t *testing.T) {
 	}
 }
 
-// TestGoldenDeterminism pins the exact counter totals of one fixed
-// workload on the default machine. Any change to the simulator, the RNG,
-// or the workload compiler that alters observable behaviour must update
-// this golden value knowingly (and note it in EXPERIMENTS.md if it shifts
-// the reproduced results).
+// TestGoldenDeterminism pins the exact counter totals of every stock
+// suite on the default machine at a non-default seed. The spec files are
+// the only definition of these suites, so this table is also what holds
+// their content. Any change to a stock spec, the simulator, the RNG, or
+// the workload compiler that alters observable behaviour must update
+// these golden values knowingly (and note it in EXPERIMENTS.md if it
+// shifts the reproduced results).
 func TestGoldenDeterminism(t *testing.T) {
 	cfg := Config{Instructions: 50_000, Samples: 10, Seed: 1234, Machine: uarch.DefaultMachineConfig()}
-	s := Nbench(cfg)
-	sm, err := Run(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Fingerprint: sum of all counters across all workloads.
-	var fingerprint uint64
-	for _, m := range sm.Workloads {
-		for c := perf.Counter(0); c < perf.NumCounters; c++ {
-			fingerprint += m.Totals.Get(c)
+	for _, tc := range []struct {
+		suite string
+		want  uint64
+	}{
+		{"parsec", 240989313},
+		{"spec17", 899800460},
+		{"ligra", 581429686},
+		{"lmbench", 370738036},
+		{"nbench", 8480205},
+		{"sgxgauge", 207808192},
+	} {
+		sm, err := Run(stock(t, tc.suite, cfg), cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	const want = 8480205
-	if fingerprint != want {
-		t.Fatalf("golden fingerprint = %d, want %d — simulator behaviour changed; "+
-			"verify EXPERIMENTS.md results still hold and update this constant",
-			fingerprint, want)
+		var fingerprint uint64
+		for _, m := range sm.Workloads {
+			for c := perf.Counter(0); c < perf.NumCounters; c++ {
+				fingerprint += m.Totals.Get(c)
+			}
+		}
+		if fingerprint != tc.want {
+			t.Errorf("%s: golden fingerprint = %d, want %d — simulator behaviour changed; "+
+				"verify EXPERIMENTS.md results still hold and update this constant",
+				tc.suite, fingerprint, tc.want)
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestRunMulticoreBasics(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	sm, err := RunMulticore(s, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -37,7 +37,7 @@ func TestRunMulticoreBasics(t *testing.T) {
 
 func TestRunMulticoreDeterministic(t *testing.T) {
 	cfg := testConfig()
-	s := SGXGauge(cfg)
+	s := stock(t, "sgxgauge", cfg)
 	a, err := RunMulticore(s, cfg, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -59,7 +59,7 @@ func TestRunMulticoreThreadsDiffer(t *testing.T) {
 	// counters (different seeds → different addresses → different misses).
 	cfg := testConfig()
 	cfg.Instructions = 40_000
-	s := SGXGauge(cfg)
+	s := stock(t, "sgxgauge", cfg)
 	solo, err := Run(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +82,7 @@ func TestRunMulticoreThreadsDiffer(t *testing.T) {
 
 func TestRunMulticoreErrors(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	if _, err := RunMulticore(s, cfg, 0); err == nil {
 		t.Fatal("0 threads accepted")
 	}

@@ -1,11 +1,13 @@
 // The suite registry: every suite Perspector can resolve by name, built
-// from embedded declarative spec files. The six Table-III stock suites
+// from embedded declarative spec files. Each specs/<name>.json document
+// is the one definition of its suite. The six Table-III stock suites
 // come first in paper order — they remain the All() set every paper
-// figure and default compare run reads — followed by the spec-only
-// families (no Go constructor exists for those; the JSON document *is*
-// the suite). Listings, CLI help, and the unknown-suite error all derive
-// from this one table, so a newly added spec file can never drift out of
-// them.
+// figure and default compare run reads — followed by the other families
+// sorted by name. Listings, CLI help, and the unknown-suite error all
+// derive from this one table, so a newly added spec file can never drift
+// out of them. Editing a stock spec moves measured counters and scores:
+// the hex-float goldens and TestGoldenDeterminism must be updated
+// knowingly in the same change.
 package suites
 
 import (
@@ -15,10 +17,11 @@ import (
 	"strings"
 )
 
-//go:generate go run ./gen
-
 //go:embed specs/*.json
 var specFS embed.FS
+
+// stockNames lists the six Table-III suites in paper order.
+var stockNames = []string{"parsec", "spec17", "ligra", "lmbench", "nbench", "sgxgauge"}
 
 type registryEntry struct {
 	name string
@@ -51,13 +54,13 @@ func loadRegistry() []registryEntry {
 		byName[sp.Name] = sp
 	}
 	var out []registryEntry
-	for _, b := range stockBuilders {
-		sp, ok := byName[b.name]
+	for _, name := range stockNames {
+		sp, ok := byName[name]
 		if !ok {
-			panic(fmt.Sprintf("suites: stock suite %q has no embedded spec", b.name))
+			panic(fmt.Sprintf("suites: stock suite %q has no embedded spec", name))
 		}
-		out = append(out, registryEntry{name: b.name, spec: sp})
-		delete(byName, b.name)
+		out = append(out, registryEntry{name: name, spec: sp})
+		delete(byName, name)
 	}
 	extra := make([]string, 0, len(byName))
 	for name := range byName {
@@ -68,6 +71,11 @@ func loadRegistry() []registryEntry {
 		out = append(out, registryEntry{name: name, spec: byName[name]})
 	}
 	return out
+}
+
+// StockNames returns the six Table-III suite names in paper order.
+func StockNames() []string {
+	return append([]string(nil), stockNames...)
 }
 
 // Names returns every registered suite name, stock six first in paper
@@ -97,11 +105,10 @@ func (e registryEntry) build(cfg Config) Suite {
 }
 
 // All returns the six Table-III suites in paper order, built from their
-// embedded declarative specs (bit-identical to the retired constructor
-// path — see the golden equivalence test).
+// embedded declarative specs.
 func All(cfg Config) []Suite {
-	out := make([]Suite, len(stockBuilders))
-	for i := range stockBuilders {
+	out := make([]Suite, len(stockNames))
+	for i := range stockNames {
 		out[i] = registry[i].build(cfg)
 	}
 	return out

@@ -1,12 +1,10 @@
-// Declarative suite specs: the serialized form of a Suite. A spec file
-// names the suite and lists its workloads; each workload is a phase list
-// in the internal/workload codec format. Instruction budgets and
-// per-workload seeds are *derived*, not stored — Build assigns
-// cfg.Instructions (unless a workload pins its own budget) and
-// seedFor(cfg, suite, i), exactly as the retired Go constructors did —
-// so one spec file measures identically at any -instr/-samples/-seed
-// and the six embedded stock specs compile bit-identically to their
-// constructors (pinned by the golden equivalence test).
+// Declarative suite specs: the serialized form of a Suite, and the only
+// definition of every registered suite. A spec file names the suite and
+// lists its workloads; each workload is a phase list in the
+// internal/workload codec format. Instruction budgets and per-workload
+// seeds are *derived*, not stored — Build assigns cfg.Instructions
+// (unless a workload pins its own budget) and seedFor(cfg, suite, i) —
+// so one spec file measures identically at any -instr/-samples/-seed.
 package suites
 
 import (
@@ -24,7 +22,7 @@ import (
 const SpecVersion = 1
 
 // MaxSuiteSpecBytes bounds one suite-spec document. It covers the
-// largest stock suite (spec17, 43 workloads) roughly forty times over
+// largest stock suite (spec17, 43 workloads, 45 KB) about ninety times over
 // while keeping hostile perspectord uploads from ballooning memory
 // before validation rejects them.
 const MaxSuiteSpecBytes = 4 << 20
@@ -60,41 +58,6 @@ type workloadSpecJSON struct {
 	Name         string          `json:"name"`
 	Instructions uint64          `json:"instructions,omitempty"`
 	Phases       json.RawMessage `json:"phases"`
-}
-
-// MarshalSuiteSpec renders sp as its versioned JSON document.
-func MarshalSuiteSpec(sp *SuiteSpec) ([]byte, error) {
-	env := suiteSpecJSON{
-		Version:     SpecVersion,
-		Name:        sp.Name,
-		Description: sp.Description,
-		Workloads:   make([]workloadSpecJSON, len(sp.Workloads)),
-	}
-	for i, w := range sp.Workloads {
-		phases, err := workload.MarshalPhases(w.Phases)
-		if err != nil {
-			return nil, fmt.Errorf("suites: workload %q: %w", w.Name, err)
-		}
-		env.Workloads[i] = workloadSpecJSON{Name: w.Name, Instructions: w.Instructions, Phases: phases}
-	}
-	return json.Marshal(env)
-}
-
-// EncodeSuiteSpec writes the indented JSON document of sp — the exact
-// byte form the embedded spec files and the gen tool use, so
-// regeneration is reproducible.
-func EncodeSuiteSpec(w io.Writer, sp *SuiteSpec) error {
-	data, err := MarshalSuiteSpec(sp)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, data, "", "  "); err != nil {
-		return err
-	}
-	buf.WriteByte('\n')
-	_, err = w.Write(buf.Bytes())
-	return err
 }
 
 // DecodeSuiteSpec reads and validates one suite-spec document. Decoding
@@ -184,10 +147,8 @@ func LoadSpecFile(path string) (*SuiteSpec, error) {
 }
 
 // Build materializes the suite under cfg: every workload gets
-// cfg.Instructions (unless it pins its own budget) and the same derived
-// seed the Go constructors assigned — seedFor(cfg, suite name, index) —
-// so an embedded stock spec builds a Suite reflect.DeepEqual to its
-// pre-refactor constructor output.
+// cfg.Instructions (unless it pins its own budget) and the derived seed
+// seedFor(cfg, suite name, index).
 func (sp *SuiteSpec) Build(cfg Config) (Suite, error) {
 	s := Suite{Name: sp.Name, Description: sp.Description}
 	for i, w := range sp.Workloads {
@@ -207,20 +168,4 @@ func (sp *SuiteSpec) Build(cfg Config) (Suite, error) {
 		s.Specs = append(s.Specs, spec)
 	}
 	return s, nil
-}
-
-// SpecOf reverses Build: it renders a materialized Suite back into its
-// declarative form, dropping the derived fields (instruction budgets
-// matching cfg.Instructions and all seeds). The gen tool and the
-// embedded-spec drift test both use it to render the stock constructors.
-func SpecOf(s Suite, cfg Config) *SuiteSpec {
-	sp := &SuiteSpec{Name: s.Name, Description: s.Description}
-	for _, w := range s.Specs {
-		ws := WorkloadSpec{Name: w.Name, Phases: w.Phases}
-		if w.Instructions != cfg.Instructions {
-			ws.Instructions = w.Instructions
-		}
-		sp.Workloads = append(sp.Workloads, ws)
-	}
-	return sp
 }

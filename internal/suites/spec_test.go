@@ -1,33 +1,9 @@
 package suites
 
 import (
-	"bytes"
-	"reflect"
 	"strings"
 	"testing"
-
-	"perspector/internal/par"
 )
-
-// TestEmbeddedSpecsMatchOracles is the drift gate for the generated
-// spec files: every embedded specs/<name>.json must be byte-identical
-// to a fresh rendering of its Go constructor oracle. When a constructor
-// changes, run go generate ./internal/suites to refresh the files.
-func TestEmbeddedSpecsMatchOracles(t *testing.T) {
-	for _, name := range StockNames() {
-		want, err := StockSpecJSON(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		got, err := specFS.ReadFile("specs/" + name + ".json")
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if !bytes.Equal(want, got) {
-			t.Errorf("embedded specs/%s.json drifted from its constructor; run go generate ./internal/suites", name)
-		}
-	}
-}
 
 // TestRegistryOrderAndNames pins the listing contract: the stock six in
 // paper order first, the spec-only families after, and the
@@ -72,83 +48,8 @@ func TestRegistryOrderAndNames(t *testing.T) {
 	}
 }
 
-// TestSuiteSpecRoundTrip: a registered spec survives
-// Marshal→Unmarshal unchanged, and Build is deterministic.
-func TestSuiteSpecRoundTrip(t *testing.T) {
-	for _, e := range registry {
-		data, err := MarshalSuiteSpec(e.spec)
-		if err != nil {
-			t.Fatalf("%s: marshal: %v", e.name, err)
-		}
-		back, err := UnmarshalSuiteSpec(data)
-		if err != nil {
-			t.Fatalf("%s: unmarshal: %v", e.name, err)
-		}
-		if !reflect.DeepEqual(e.spec, back) {
-			t.Errorf("%s: spec round-trip drift", e.name)
-		}
-	}
-}
-
-// TestBuildMatchesConstructors: the registry materialization of every
-// stock suite is structurally identical (DeepEqual: names, budgets,
-// derived seeds, every phase and pattern parameter) to the constructor
-// output, across several configs.
-func TestBuildMatchesConstructors(t *testing.T) {
-	cfgs := []Config{DefaultConfig(), {Instructions: 1000, Samples: 10, Seed: 7}, {Instructions: 123457, Samples: 3, Seed: 0xfeedface}}
-	for _, cfg := range cfgs {
-		for _, b := range stockBuilders {
-			want := b.build(cfg)
-			got, err := ByName(b.name, cfg)
-			if err != nil {
-				t.Fatalf("ByName(%s): %v", b.name, err)
-			}
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("suite %s (seed %d): registry build differs from constructor", b.name, cfg.Seed)
-			}
-		}
-	}
-}
-
-// TestSpecGoldenEquivalence is the golden acceptance gate of the
-// declarative-spec refactor: measuring each stock suite built from its
-// embedded spec must be hex-float bit-identical (every counter total,
-// every series sample) to measuring the pre-refactor constructor
-// output — at several worker counts, with TotalsOnly off and on.
-func TestSpecGoldenEquivalence(t *testing.T) {
-	baseCfg := shardConfig()
-	for _, workers := range []int{1, 3} {
-		prev := par.SetWorkers(workers)
-		for _, totalsOnly := range []bool{false, true} {
-			cfg := baseCfg
-			cfg.TotalsOnly = totalsOnly
-			for _, b := range stockBuilders {
-				oracle, err := Run(b.build(cfg), cfg)
-				if err != nil {
-					t.Fatalf("constructor %s: %v", b.name, err)
-				}
-				fromSpec, err := ByName(b.name, cfg)
-				if err != nil {
-					t.Fatalf("ByName(%s): %v", b.name, err)
-				}
-				got, err := Run(fromSpec, cfg)
-				if err != nil {
-					t.Fatalf("spec-built %s: %v", b.name, err)
-				}
-				label := "spec-vs-constructor"
-				if totalsOnly {
-					label += "/totals-only"
-				}
-				requireIdenticalMeasurements(t, label, oracle, got)
-			}
-		}
-		par.SetWorkers(prev)
-	}
-}
-
-// TestSpecOnlySuitesRun: the two PAPERS.md-derived families have no
-// constructor — the registry is their only source — and must validate,
-// build, and simulate end to end.
+// TestSpecOnlySuitesRun: the two PAPERS.md-derived families outside the
+// stock six must validate, build, and simulate end to end.
 func TestSpecOnlySuitesRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Instructions = 20_000
@@ -208,23 +109,6 @@ func TestDecodeSuiteSpecRejects(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
-		}
-	}
-}
-
-// TestSpecOfInverse: SpecOf is Build's inverse on every registered
-// suite, including pinned per-workload budgets.
-func TestSpecOfInverse(t *testing.T) {
-	cfg := DefaultConfig()
-	for _, e := range registry {
-		s := e.build(cfg)
-		back := SpecOf(s, cfg)
-		rebuilt, err := back.Build(cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", e.name, err)
-		}
-		if !reflect.DeepEqual(s, rebuilt) {
-			t.Errorf("%s: SpecOf∘Build not identity", e.name)
 		}
 	}
 }

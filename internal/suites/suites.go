@@ -1,13 +1,15 @@
 // Package suites models the six benchmark suites of the paper's Table III
-// as synthetic workload specs for the uarch simulator. The models encode
-// each suite's published character rather than its code: Ligra's workloads
-// share a graph-loading framework and differ only in the compute kernel;
-// LMbench's microbenchmarks each hammer one subsystem to an extreme;
-// PARSEC and SGXGauge are phase-rich real-world applications; Nbench is a
-// set of steady compute kernels; SPEC'17 spans 43 diverse int/fp
-// workloads. Those structural properties — not the exact programs — are
-// what Perspector's scores react to, so preserving them preserves the
-// paper's findings.
+// as synthetic workload specs for the uarch simulator. Each model is one
+// embedded spec document, specs/<name>.json (see registry.go, and
+// DESIGN.md "Stock suite models" for the modelling rationale). The
+// models encode each suite's published character rather than its code:
+// Ligra's workloads share a graph-loading framework and differ only in
+// the compute kernel; LMbench's microbenchmarks each hammer one subsystem
+// to an extreme; PARSEC and SGXGauge are phase-rich real-world
+// applications; Nbench is a set of steady compute kernels; SPEC'17 spans
+// 43 diverse int/fp workloads. Those structural properties — not the
+// exact programs — are what Perspector's scores react to, so preserving
+// them preserves the paper's findings.
 package suites
 
 import (
@@ -209,9 +211,3 @@ func RunAllContext(ctx context.Context, cfg Config) ([]*perf.SuiteMeasurement, e
 	}
 	return out, nil
 }
-
-// Sizes used across suite definitions, named for readability.
-const (
-	kib = uint64(1) << 10
-	mib = uint64(1) << 20
-)

@@ -16,22 +16,32 @@ func testConfig() Config {
 	return cfg
 }
 
+// stock builds the named registered suite under cfg.
+func stock(t testing.TB, name string, cfg Config) Suite {
+	t.Helper()
+	s, err := ByName(name, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 func TestSuiteSizesMatchPaper(t *testing.T) {
 	cfg := testConfig()
 	cases := []struct {
-		suite Suite
-		want  int
+		name string
+		want int
 	}{
-		{SPEC17(cfg), 43}, // "43 in SPEC'17" (§I)
-		{PARSEC(cfg), 13},
-		{Ligra(cfg), 20},
-		{LMbench(cfg), 26},
-		{Nbench(cfg), 10},
-		{SGXGauge(cfg), 8},
+		{"spec17", 43}, // "43 in SPEC'17" (§I)
+		{"parsec", 13},
+		{"ligra", 20},
+		{"lmbench", 26},
+		{"nbench", 10},
+		{"sgxgauge", 8},
 	}
 	for _, c := range cases {
-		if len(c.suite.Specs) != c.want {
-			t.Errorf("%s has %d workloads, want %d", c.suite.Name, len(c.suite.Specs), c.want)
+		if n := len(stock(t, c.name, cfg).Specs); n != c.want {
+			t.Errorf("%s has %d workloads, want %d", c.name, n, c.want)
 		}
 	}
 }
@@ -97,7 +107,7 @@ func TestSeedsStableAcrossComposition(t *testing.T) {
 
 func TestRunSmallSuite(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	sm, err := Run(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +133,7 @@ func TestRunSmallSuite(t *testing.T) {
 
 func TestRunDeterministic(t *testing.T) {
 	cfg := testConfig()
-	s := SGXGauge(cfg)
+	s := stock(t, "sgxgauge", cfg)
 	a, err := Run(s, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -141,7 +151,7 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunValidatesConfig(t *testing.T) {
 	cfg := testConfig()
-	s := Nbench(cfg)
+	s := stock(t, "nbench", cfg)
 	bad := cfg
 	bad.Instructions = 0
 	if _, err := Run(s, bad); err == nil {
@@ -163,11 +173,11 @@ func TestLigraWorkloadsAreSimilar(t *testing.T) {
 	// other than SGXGauge's are — the basis of Fig. 3a's cluster scores.
 	cfg := testConfig()
 	cfg.Instructions = 60_000
-	ligra, err := Run(Ligra(cfg), cfg)
+	ligra, err := Run(stock(t, "ligra", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sgx, err := Run(SGXGauge(cfg), cfg)
+	sgx, err := Run(stock(t, "sgxgauge", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +242,7 @@ func TestNbenchSteadyTrends(t *testing.T) {
 	// the second half is close to the first half (no phase shift).
 	cfg := testConfig()
 	cfg.Instructions = 60_000
-	sm, err := Run(Nbench(cfg), cfg)
+	sm, err := Run(stock(t, "nbench", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +279,7 @@ func TestPhaseShiftVisibleInPARSEC(t *testing.T) {
 	// shift in some counter across phase boundaries.
 	cfg := testConfig()
 	cfg.Instructions = 60_000
-	sm, err := Run(PARSEC(cfg), cfg)
+	sm, err := Run(stock(t, "parsec", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +313,7 @@ func TestLMbenchExtremes(t *testing.T) {
 	// counters — the corner-covering property behind its CoverageScore.
 	cfg := testConfig()
 	cfg.Instructions = 60_000
-	sm, err := Run(LMbench(cfg), cfg)
+	sm, err := Run(stock(t, "lmbench", cfg), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -91,10 +91,10 @@ type Counter = perf.Counter
 
 // Options configures score computation (event group, PCA variance, DTW
 // grid, seeds).
-type Options = core.Options
+type Options = metric.Options
 
 // Scores holds the four Perspector metrics for one suite.
-type Scores = core.Scores
+type Scores = metric.Scores
 
 // SubsetOptions configures representative-subset generation.
 type SubsetOptions = core.SubsetOptions
@@ -108,7 +108,7 @@ type PhaseChange = core.PhaseChange
 
 // DefaultOptions mirrors the paper's setup: all 14 counters, 98 % PCA
 // variance, full DTW on a 100-point percentile grid.
-func DefaultOptions() Options { return core.DefaultOptions() }
+func DefaultOptions() Options { return metric.DefaultOptions() }
 
 // StockSuites returns models of the six suites evaluated in the paper
 // (Table III), in paper order: PARSEC, SPEC'17, Ligra, LMbench, Nbench,
@@ -210,7 +210,9 @@ func MeasureMulticoreContext(ctx context.Context, s Suite, cfg Config, threads i
 // Score computes the four Perspector scores for one suite in isolation.
 // Coverage and Spread are normalized against the suite's own counter
 // ranges; use Compare to score several suites against shared ranges.
-func Score(m *Measurement, opts Options) (Scores, error) { return core.ScoreSuite(m, opts) }
+func Score(m *Measurement, opts Options) (Scores, error) {
+	return metric.ScoreSuite(context.Background(), m, opts, nil)
+}
 
 // ScoreContext is Score with cancellation: ctx flows through the scoring
 // engine's fan-outs (silhouette k-sweep, pairwise DTW, series
@@ -224,7 +226,7 @@ func ScoreContext(ctx context.Context, m *Measurement, opts Options) (Scores, er
 // paper's Eq. 9–10, making the Coverage and Spread scores directly
 // comparable across suites — this is how Fig. 3 is produced.
 func Compare(ms []*Measurement, opts Options) ([]Scores, error) {
-	return core.ScoreSuites(ms, opts)
+	return metric.ScoreSuites(context.Background(), ms, opts, nil)
 }
 
 // CompareContext is Compare with cancellation (see ScoreContext).
