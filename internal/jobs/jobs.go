@@ -33,10 +33,10 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
+	"maps"
+	"slices"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -45,7 +45,8 @@ import (
 	"perspector/internal/store"
 )
 
-// State is a job's position in its lifecycle.
+// State is a job's or a stream's (StreamState) position in its
+// lifecycle. The first terminal state an entry reaches is final.
 type State string
 
 const (
@@ -56,19 +57,19 @@ const (
 	StateCanceled State = "canceled"
 )
 
-// States lists every state, for metrics exposition in a fixed order.
+// States lists every job state, for metrics exposition in a fixed order.
 func States() []State {
 	return []State{StateQueued, StateRunning, StateDone, StateFailed, StateCanceled}
 }
 
-// Terminal reports whether a job in state s has finished for good.
+// Terminal reports whether a job or stream in state s has finished.
 func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
 // Submission errors a transport maps to client-visible statuses.
 var (
-	// ErrDraining rejects submissions during shutdown (HTTP 503).
+	// ErrDraining rejects submissions and stream opens during shutdown (HTTP 503).
 	ErrDraining = errors.New("jobs: queue is draining")
 	// ErrQueueFull rejects submissions past the admission bound (HTTP 429).
 	ErrQueueFull = errors.New("jobs: queue is full")
@@ -101,11 +102,10 @@ func errorInfo(err error) *ErrorInfo {
 // Job is the queue's internal record of one request. All mutable fields
 // are guarded by the queue mutex; clients only ever see Snapshots.
 type Job struct {
-	id  string
+	entry
 	key string
 	req Request
 
-	state      State
 	stage      string
 	stageDone  int
 	stageTotal int
@@ -114,9 +114,7 @@ type Job struct {
 	replayed   bool
 	deduped    int
 
-	createdAt  time.Time
-	startedAt  time.Time
-	finishedAt time.Time
+	startedAt time.Time
 
 	// instr counts simulated instructions retired by this job. Atomic:
 	// the runner's measurement fan-out adds from worker goroutines while
@@ -124,7 +122,6 @@ type Job struct {
 	instr atomic.Uint64
 
 	cancel context.CancelFunc
-	done   chan struct{}
 }
 
 // Snapshot is the client-visible view of a job, safe to serialize.
@@ -233,22 +230,15 @@ type Options struct {
 // Queue runs jobs on a bounded worker set. Create with New, stop with
 // Drain.
 type Queue struct {
+	lifecycle[*Job]
 	run Runner
 	opt Options
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	jobs    map[string]*Job
-	order   []string
 	pending []*Job
 	// inflight maps a request's content key to its queued or running job,
 	// the dedup index. Entries leave at terminal transitions.
 	inflight map[string]*Job
-	counts   map[State]int
-	seq      int
-	draining bool
 
-	wg      sync.WaitGroup
 	retired atomic.Uint64
 	// telem accumulates each executed job's span fold: per-stage duration
 	// histograms, queue wait, and per-worker busy time. Folding happens
@@ -277,18 +267,13 @@ func New(run Runner, opt Options) *Queue {
 	if opt.MaxQueue < 1 {
 		opt.MaxQueue = 64
 	}
-	if opt.Log == nil {
-		opt.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
 	q := &Queue{
 		run:      run,
 		opt:      opt,
-		jobs:     make(map[string]*Job),
 		inflight: make(map[string]*Job),
-		counts:   make(map[State]int),
 		telem:    obs.NewAggregator(),
 	}
-	q.cond = sync.NewCond(&q.mu)
+	q.init("job", ErrNotFound, opt.Log)
 	q.wg.Add(opt.Workers)
 	for i := 0; i < opt.Workers; i++ {
 		go q.worker()
@@ -306,32 +291,22 @@ func (q *Queue) Submit(req Request) (Snapshot, bool, error) {
 	key := req.Key()
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.draining {
-		return Snapshot{}, false, ErrDraining
+	if err := q.gateLocked(); err != nil {
+		return Snapshot{}, false, err
 	}
 	if j, ok := q.inflight[key]; ok {
 		j.deduped++
-		q.opt.Log.Info("job deduplicated", "job", j.id, "key", key, "request_id", j.req.RequestID)
+		q.log.Info("job deduplicated", "job", j.id, "key", key, "request_id", j.req.RequestID)
 		return q.snapshotLocked(j), true, nil
 	}
 	if q.counts[StateQueued] >= q.opt.MaxQueue {
 		return Snapshot{}, false, ErrQueueFull
 	}
-	q.seq++
-	j := &Job{
-		id:        fmt.Sprintf("j-%06d", q.seq),
-		key:       key,
-		req:       req,
-		state:     StateQueued,
-		createdAt: time.Now(),
-		done:      make(chan struct{}),
-	}
-	q.jobs[j.id] = j
-	q.order = append(q.order, j.id)
+	j := &Job{key: key, req: req}
+	q.addLocked(j, StateQueued)
 	q.inflight[key] = j
 	q.pending = append(q.pending, j)
-	q.counts[StateQueued]++
-	q.opt.Log.Info("job queued", "job", j.id, "key", key, "kind", req.Kind, "suites", req.Suites, "request_id", req.RequestID)
+	q.log.Info("job queued", "job", j.id, "key", key, "kind", req.Kind, "suites", req.Suites, "request_id", req.RequestID)
 	q.cond.Signal()
 	return q.snapshotLocked(j), false, nil
 }
@@ -365,10 +340,10 @@ func (q *Queue) worker() {
 
 		ctx, cancel := context.WithCancel(context.Background())
 		j.cancel = cancel
-		q.setStateLocked(j, StateRunning)
+		q.moveLocked(j, StateRunning)
 		j.startedAt = time.Now()
 		q.mu.Unlock()
-		q.opt.Log.Info("job started", "job", j.id, "key", j.key, "request_id", j.req.RequestID)
+		q.log.Info("job started", "job", j.id, "key", j.key, "request_id", j.req.RequestID)
 
 		// Each executed job gets its own recorder; its fold lands in the
 		// queue aggregator at the terminal transition below. The replay
@@ -390,7 +365,7 @@ func (q *Queue) worker() {
 			if perr := q.opt.Store.Put(j.key, set); perr != nil {
 				// The result is still good; losing durability is logged, not
 				// fatal — the client gets its scores either way.
-				q.opt.Log.Error("result store append failed", "job", j.id, "error", perr)
+				q.log.Error("result store append failed", "job", j.id, "error", perr)
 			}
 			stSpan.End()
 			h.Advance(1)
@@ -432,7 +407,7 @@ func (q *Queue) foldTelemetry(j *Job, rec *obs.Recorder) {
 	sort.Strings(names)
 	for _, name := range names {
 		agg := f.Stages[name]
-		q.opt.Log.Info("job stage completed",
+		q.log.Info("job stage completed",
 			"job", j.id, "stage", name, "count", agg.Count, "seconds", agg.Sum)
 	}
 }
@@ -442,18 +417,16 @@ func (q *Queue) foldTelemetry(j *Job, rec *obs.Recorder) {
 // worker-utilization gauges.
 func (q *Queue) Telemetry() *obs.Aggregator { return q.telem }
 
-// setStateLocked moves j between non-terminal states.
-func (q *Queue) setStateLocked(j *Job, s State) {
-	q.counts[j.state]--
-	j.state = s
-	q.counts[s]++
-}
-
-// finishLocked moves j to a terminal state, records the cause, closes
-// the done channel and drops the dedup entry.
+// finishLocked takes j's terminal transition, then records the cause,
+// drops the dedup entry and folds the job into the throughput averages.
 func (q *Queue) finishLocked(j *Job, s State, err error) {
-	q.setStateLocked(j, s)
-	j.finishedAt = time.Now()
+	attrs := []any{"request_id", j.req.RequestID, "replayed", j.replayed}
+	if err != nil {
+		attrs = []any{"request_id", j.req.RequestID, "error", err}
+	}
+	if !q.endLocked(j, s, attrs...) {
+		return
+	}
 	if err != nil {
 		j.err = errorInfo(err)
 	}
@@ -479,14 +452,6 @@ func (q *Queue) finishLocked(j *Job, s State, err error) {
 		if d := j.finishedAt.Sub(j.startedAt).Seconds(); d > 0 {
 			q.execSeconds += d
 		}
-	}
-	close(j.done)
-	elapsed := j.finishedAt.Sub(j.createdAt)
-	switch {
-	case err != nil:
-		q.opt.Log.Info("job finished", "job", j.id, "state", string(s), "elapsed", elapsed, "request_id", j.req.RequestID, "error", err)
-	default:
-		q.opt.Log.Info("job finished", "job", j.id, "state", string(s), "elapsed", elapsed, "request_id", j.req.RequestID, "replayed", j.replayed)
 	}
 }
 
@@ -520,77 +485,38 @@ func (q *Queue) snapshotLocked(j *Job) Snapshot {
 
 // Get returns the snapshot of job id.
 func (q *Queue) Get(id string) (Snapshot, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return Snapshot{}, false
-	}
-	return q.snapshotLocked(j), true
+	snap, err := withEntry(&q.lifecycle, id, q.snapshotLocked)
+	return snap, err == nil
 }
 
 // Result returns the completed document of job id. The bool is false
 // while the job is still in flight (or failed without a result).
 func (q *Queue) Result(id string) (store.ScoreSet, bool, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return store.ScoreSet{}, false, ErrNotFound
+	set, err := withEntry(&q.lifecycle, id, func(j *Job) *store.ScoreSet { return j.result })
+	if set == nil {
+		return store.ScoreSet{}, false, err
 	}
-	if j.result == nil {
-		return store.ScoreSet{}, false, nil
-	}
-	return *j.result, true, nil
-}
-
-// Done exposes the job's completion channel for long-poll waiters; it is
-// closed at the terminal transition.
-func (q *Queue) Done(id string) (<-chan struct{}, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return j.done, nil
+	return *set, true, nil
 }
 
 // List returns every job, oldest first.
-func (q *Queue) List() []Snapshot {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	out := make([]Snapshot, 0, len(q.order))
-	for _, id := range q.order {
-		out = append(out, q.snapshotLocked(q.jobs[id]))
-	}
-	return out
-}
+func (q *Queue) List() []Snapshot { return list(&q.lifecycle, q.snapshotLocked) }
 
 // Cancel stops job id: a queued job never starts, a running job has its
 // context cancelled (the state flips to canceled when the runner
 // unwinds), a terminal job is left as-is. The returned snapshot is the
 // state after the call.
 func (q *Queue) Cancel(id string) (Snapshot, error) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	j, ok := q.jobs[id]
-	if !ok {
-		return Snapshot{}, ErrNotFound
-	}
-	switch j.state {
-	case StateQueued:
-		for i, p := range q.pending {
-			if p == j {
-				q.pending = append(q.pending[:i], q.pending[i+1:]...)
-				break
-			}
+	return withEntry(&q.lifecycle, id, func(j *Job) Snapshot {
+		switch j.state {
+		case StateQueued:
+			q.pending = slices.DeleteFunc(q.pending, func(p *Job) bool { return p == j })
+			q.finishLocked(j, StateCanceled, context.Canceled)
+		case StateRunning:
+			j.cancel()
 		}
-		q.finishLocked(j, StateCanceled, context.Canceled)
-	case StateRunning:
-		j.cancel()
-	}
-	return q.snapshotLocked(j), nil
+		return q.snapshotLocked(j)
+	})
 }
 
 // Drain shuts the queue down: admission stops immediately, queued jobs
@@ -600,34 +526,18 @@ func (q *Queue) Cancel(id string) (Snapshot, error) {
 // error is ctx.Err() when the deadline forced cancellations, nil when
 // everything finished in time.
 func (q *Queue) Drain(ctx context.Context) error {
-	q.mu.Lock()
-	q.draining = true
-	for _, j := range q.pending {
-		q.finishLocked(j, StateCanceled, fmt.Errorf("%w: server draining", context.Canceled))
-	}
-	q.pending = nil
-	q.cond.Broadcast()
-	q.mu.Unlock()
-
-	workersDone := make(chan struct{})
-	go func() {
-		q.wg.Wait()
-		close(workersDone)
-	}()
-	select {
-	case <-workersDone:
-		return nil
-	case <-ctx.Done():
-		q.mu.Lock()
-		for _, j := range q.jobs {
+	return q.drain(ctx, func() {
+		for _, j := range q.pending {
+			q.finishLocked(j, StateCanceled, fmt.Errorf("%w: server draining", context.Canceled))
+		}
+		q.pending = nil
+	}, func() {
+		for _, j := range q.order {
 			if j.state == StateRunning {
 				j.cancel()
 			}
 		}
-		q.mu.Unlock()
-		<-workersDone
-		return ctx.Err()
-	}
+	})
 }
 
 // Depth returns the number of queued (not yet running) jobs.
@@ -641,11 +551,7 @@ func (q *Queue) Depth() int {
 func (q *Queue) Counts() map[State]int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := make(map[State]int, len(q.counts))
-	for s, n := range q.counts {
-		out[s] = n
-	}
-	return out
+	return maps.Clone(q.counts)
 }
 
 // InstructionsRetired returns the total simulated instructions retired

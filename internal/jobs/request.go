@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 
 	"perspector/internal/perf"
 	"perspector/internal/source"
@@ -66,6 +67,14 @@ type Request struct {
 
 	// suiteSpec is the decoded SuiteSpec, set by Normalize.
 	suiteSpec *suites.SuiteSpec
+}
+
+// DecodeStrict decodes one JSON value from r into v, rejecting unknown
+// fields: the decoder for job requests, stream opens and chunks.
+func DecodeStrict(r io.Reader, v any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // Normalize fills defaults and validates the request in place. It must

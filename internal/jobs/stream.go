@@ -25,9 +25,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
-	"sync"
+	"maps"
 	"time"
 
 	"perspector/internal/metric"
@@ -71,24 +70,19 @@ var (
 //
 //	open → closing → done | failed
 //	open/closing → canceled
-type StreamState string
+type StreamState = State
 
 const (
 	StreamOpen     StreamState = "open"
 	StreamClosing  StreamState = "closing"
-	StreamDone     StreamState = "done"
-	StreamFailed   StreamState = "failed"
-	StreamCanceled StreamState = "canceled"
+	StreamDone                 = StateDone
+	StreamFailed               = StateFailed
+	StreamCanceled             = StateCanceled
 )
 
 // StreamStates lists every state, for metrics exposition in fixed order.
 func StreamStates() []StreamState {
 	return []StreamState{StreamOpen, StreamClosing, StreamDone, StreamFailed, StreamCanceled}
-}
-
-// Terminal reports whether a stream in state s has finished for good.
-func (s StreamState) Terminal() bool {
-	return s == StreamDone || s == StreamFailed || s == StreamCanceled
 }
 
 // StreamOpenRequest opens a stream. Group and Counters have the same
@@ -184,15 +178,9 @@ type StreamOptions struct {
 
 // StreamManager owns every stream's lifecycle and the rescore loops.
 type StreamManager struct {
-	opt StreamOptions
-
-	mu       sync.Mutex
-	cond     *sync.Cond
-	streams  map[string]*Stream
-	order    []string
-	nextID   int
-	draining bool
-	wg       sync.WaitGroup
+	lifecycle[*Stream]
+	opt     StreamOptions
+	streams map[string]*Stream // the lifecycle's byID map, by its stream name
 
 	// Telemetry, guarded by mu: rescore-latency histogram, accepted
 	// chunk count, and admission rejections.
@@ -202,11 +190,11 @@ type StreamManager struct {
 }
 
 // Stream is the manager's record of one stream. All mutable fields are
-// guarded by the manager mutex; the rescore goroutine owns run/meas and
-// touches them outside the lock (handlers never do).
+// guarded by the manager mutex; the rescore goroutine owns run and
+// touches it outside the lock (handlers never do).
 type Stream struct {
+	entry
 	m   *StreamManager
-	id  string
 	key string
 
 	kind     string
@@ -215,25 +203,23 @@ type Stream struct {
 	counters []perf.Counter
 	interval uint64
 
-	run *metric.IncrementalRun
+	run     *metric.IncrementalRun
+	looping bool // the rescore goroutine is running (see wakeLocked)
 
-	state   StreamState
 	pending []StreamChunk
 	chunks  int
 	seq     int64
-	scores  *store.ScoreSet
-	lastErr *ErrorInfo
-
-	createdAt  time.Time
-	finishedAt time.Time
+	// workloads counts each suite's workloads at the latest publish, so
+	// snapshots need not read run.
+	workloads []int
+	scores    *store.ScoreSet
+	lastErr   *ErrorInfo
 
 	ctx    context.Context
 	cancel context.CancelFunc
-	// notify is closed (and replaced) at every publish; long-pollers
-	// grab the current channel and wait. done closes exactly once, when
-	// the rescore goroutine exits.
+	// notify is closed (and replaced) at every publish and at the end;
+	// long-pollers grab the current channel and wait.
 	notify chan struct{}
-	done   chan struct{}
 }
 
 // NewStreamManager builds a manager; streams are admitted via Open.
@@ -244,15 +230,14 @@ func NewStreamManager(opt StreamOptions) *StreamManager {
 	if opt.MaxPending <= 0 {
 		opt.MaxPending = DefaultMaxPending
 	}
-	if opt.Log == nil {
-		opt.Log = slog.New(slog.NewTextHandler(io.Discard, nil))
-	}
-	m := &StreamManager{opt: opt, streams: make(map[string]*Stream)}
-	m.cond = sync.NewCond(&m.mu)
+	m := &StreamManager{opt: opt}
+	m.init("stream", ErrStreamNotFound, opt.Log)
+	m.streams = m.byID
 	return m
 }
 
-// Open admits a new stream and starts its rescore goroutine.
+// Open admits a new stream; its rescore goroutine starts with the first
+// accepted chunk or the seal.
 func (m *StreamManager) Open(req StreamOpenRequest) (StreamSnapshot, error) {
 	if len(req.Suites) == 0 {
 		return StreamSnapshot{}, fmt.Errorf("jobs: stream needs at least one suite")
@@ -311,24 +296,16 @@ func (m *StreamManager) Open(req StreamOpenRequest) (StreamSnapshot, error) {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.draining {
-		return StreamSnapshot{}, ErrDraining
+	if err := m.gateLocked(); err != nil {
+		return StreamSnapshot{}, err
 	}
-	live := 0
-	for _, s := range m.streams {
-		if !s.state.Terminal() {
-			live++
-		}
-	}
-	if live >= m.opt.MaxStreams {
+	if m.liveLocked() >= m.opt.MaxStreams {
 		m.rejected++
 		return StreamSnapshot{}, ErrStreamLimit
 	}
-	m.nextID++
 	ctx, cancel := context.WithCancel(context.Background())
 	s := &Stream{
 		m:         m,
-		id:        fmt.Sprintf("s-%06d", m.nextID),
 		key:       openKey(&req),
 		kind:      kind,
 		suites:    append([]string(nil), req.Suites...),
@@ -336,18 +313,13 @@ func (m *StreamManager) Open(req StreamOpenRequest) (StreamSnapshot, error) {
 		counters:  counters,
 		interval:  req.SampleInterval,
 		run:       run,
-		state:     StreamOpen,
-		createdAt: time.Now(),
+		workloads: make([]int, len(req.Suites)),
 		ctx:       ctx,
 		cancel:    cancel,
 		notify:    make(chan struct{}),
-		done:      make(chan struct{}),
 	}
-	m.streams[s.id] = s
-	m.order = append(m.order, s.id)
-	m.wg.Add(1)
-	go s.loop()
-	m.opt.Log.Info("stream opened", "stream", s.id, "kind", kind, "suites", s.suites, "group", s.group)
+	m.addLocked(s, StreamOpen)
+	m.log.Info("stream opened", "stream", s.id, "kind", kind, "suites", s.suites, "group", s.group)
 	return s.snapshotLocked(), nil
 }
 
@@ -359,9 +331,9 @@ func (m *StreamManager) Open(req StreamOpenRequest) (StreamSnapshot, error) {
 func (m *StreamManager) Append(id string, chunk StreamChunk) (StreamSnapshot, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	s := m.streams[id]
-	if s == nil {
-		return StreamSnapshot{}, ErrStreamNotFound
+	s, err := m.lookupLocked(id)
+	if err != nil {
+		return StreamSnapshot{}, err
 	}
 	if s.state != StreamOpen {
 		return s.snapshotLocked(), ErrStreamClosed
@@ -377,7 +349,7 @@ func (m *StreamManager) Append(id string, chunk StreamChunk) (StreamSnapshot, er
 	s.chunks++
 	m.chunksTotal++
 	s.pending = append(s.pending, chunk)
-	m.cond.Broadcast()
+	m.wakeLocked(s)
 	return s.snapshotLocked(), nil
 }
 
@@ -386,58 +358,30 @@ func (m *StreamManager) Append(id string, chunk StreamChunk) (StreamSnapshot, er
 // stream key), and the stream reaches "done" — or "failed" if the final
 // rescore failed.
 func (m *StreamManager) Close(id string) (StreamSnapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.streams[id]
-	if s == nil {
-		return StreamSnapshot{}, ErrStreamNotFound
-	}
-	if s.state == StreamOpen {
-		s.state = StreamClosing
-		m.cond.Broadcast()
-	}
-	return s.snapshotLocked(), nil
+	return withEntry(&m.lifecycle, id, func(s *Stream) StreamSnapshot {
+		m.sealLocked(s)
+		return s.snapshotLocked()
+	})
 }
 
 // Cancel aborts the stream: the backlog is dropped, a rescore in flight
 // has its context cancelled, and the stream reaches "canceled". Already
 // terminal streams are left as they are.
 func (m *StreamManager) Cancel(id string) (StreamSnapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.streams[id]
-	if s == nil {
-		return StreamSnapshot{}, ErrStreamNotFound
-	}
-	if !s.state.Terminal() {
-		s.state = StreamCanceled
-		s.pending = nil
-		s.cancel()
-		m.cond.Broadcast()
-	}
-	return s.snapshotLocked(), nil
+	return withEntry(&m.lifecycle, id, func(s *Stream) StreamSnapshot {
+		m.finishLocked(s, StreamCanceled)
+		return s.snapshotLocked()
+	})
 }
 
 // Get returns a stream's snapshot.
 func (m *StreamManager) Get(id string) (StreamSnapshot, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.streams[id]
-	if s == nil {
-		return StreamSnapshot{}, ErrStreamNotFound
-	}
-	return s.snapshotLocked(), nil
+	return withEntry(&m.lifecycle, id, (*Stream).snapshotLocked)
 }
 
 // List returns every stream's snapshot in open order.
 func (m *StreamManager) List() []StreamSnapshot {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]StreamSnapshot, 0, len(m.order))
-	for _, id := range m.order {
-		out = append(out, m.streams[id].snapshotLocked())
-	}
-	return out
+	return list(&m.lifecycle, (*Stream).snapshotLocked)
 }
 
 // Scores long-polls the stream: it returns as soon as the published
@@ -447,10 +391,10 @@ func (m *StreamManager) List() []StreamSnapshot {
 func (m *StreamManager) Scores(ctx context.Context, id string, since int64) (StreamScores, error) {
 	m.mu.Lock()
 	for {
-		s := m.streams[id]
-		if s == nil {
+		s, err := m.lookupLocked(id)
+		if err != nil {
 			m.mu.Unlock()
-			return StreamScores{}, ErrStreamNotFound
+			return StreamScores{}, err
 		}
 		if s.seq > since || s.state.Terminal() {
 			out := StreamScores{StreamSnapshot: s.snapshotLocked(), Scores: s.scores}
@@ -474,39 +418,15 @@ func (m *StreamManager) Scores(ctx context.Context, id string, since int64) (Str
 // — up to ctx's deadline, after which the stragglers are cancelled and
 // waited out. No stream goroutine survives Drain.
 func (m *StreamManager) Drain(ctx context.Context) error {
-	m.mu.Lock()
-	m.draining = true
-	for _, s := range m.streams {
-		if s.state == StreamOpen {
-			s.state = StreamClosing
+	return m.drain(ctx, func() {
+		for _, s := range m.order {
+			m.sealLocked(s)
 		}
-	}
-	m.cond.Broadcast()
-	m.mu.Unlock()
-
-	finished := make(chan struct{})
-	go func() {
-		m.wg.Wait()
-		close(finished)
-	}()
-	var err error
-	select {
-	case <-finished:
-	case <-ctx.Done():
-		err = ctx.Err()
-		m.mu.Lock()
-		for _, s := range m.streams {
-			if !s.state.Terminal() {
-				s.state = StreamCanceled
-				s.pending = nil
-				s.cancel()
-			}
+	}, func() {
+		for _, s := range m.order {
+			m.finishLocked(s, StreamCanceled)
 		}
-		m.cond.Broadcast()
-		m.mu.Unlock()
-		<-finished
-	}
-	return err
+	})
 }
 
 // StreamTelemetry is the manager's metrics snapshot.
@@ -527,19 +447,13 @@ type StreamTelemetry struct {
 func (m *StreamManager) Telemetry() StreamTelemetry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	t := StreamTelemetry{
-		States:      make(map[StreamState]int, len(m.streams)),
+	return StreamTelemetry{
+		States:      maps.Clone(m.counts),
+		Active:      m.liveLocked(),
 		ChunksTotal: m.chunksTotal,
 		Rejected:    m.rejected,
 		Rescores:    m.rescores,
 	}
-	for _, s := range m.streams {
-		t.States[s.state]++
-		if !s.state.Terminal() {
-			t.Active++
-		}
-	}
-	return t
 }
 
 // validateChunk checks shape against the stream's counter list; called
@@ -596,70 +510,69 @@ func (s *Stream) suiteIndex(name string) int {
 }
 
 // loop is the stream's rescore goroutine: it folds backlogged chunks
-// into the incremental run, publishes a score version per batch, and
-// finalizes on close/cancel.
+// into the incremental run, publishing a version per batch, until the
+// backlog is empty, or takes the final transition once the stream is
+// sealed. A stream a Cancel or drain abort ended stops it.
 func (s *Stream) loop() {
-	defer s.m.wg.Done()
 	m := s.m
+	defer m.wg.Done()
 	for {
 		m.mu.Lock()
-		for s.state == StreamOpen && len(s.pending) == 0 {
-			m.cond.Wait()
-		}
-		state := s.state
-		batch := s.pending
+		state, batch := s.state, s.pending
 		s.pending = nil
+		if state.Terminal() || (state == StreamOpen && len(batch) == 0) {
+			s.looping = false
+			m.mu.Unlock()
+			return
+		}
 		m.mu.Unlock()
 
-		if state == StreamCanceled {
-			s.finish(StreamCanceled)
-			return
-		}
+		var err error
 		if len(batch) > 0 {
-			if err := s.apply(batch); err != nil {
-				// Chunk admission validates shape, so an apply error means
-				// the stream's data model broke (not a transient rescore
-				// failure): the stream fails for good.
-				m.mu.Lock()
-				s.lastErr = errorInfo(err)
-				m.mu.Unlock()
-				s.finish(StreamFailed)
-				return
+			if err = s.apply(batch); err == nil {
+				s.rescore()
 			}
-			s.rescore()
 		}
-		if state != StreamClosing {
-			continue
-		}
-		// Closing: chunks can no longer be admitted, so the batch above
-		// was the last — unless a cancel slipped in while rescoring.
-		m.mu.Lock()
-		canceled := s.state == StreamCanceled
-		needFinal := s.seq == 0
-		m.mu.Unlock()
-		if canceled {
-			s.finish(StreamCanceled)
+		// Once sealed, the batch above was the last.
+		if err != nil || state == StreamClosing {
+			s.finalize(err)
 			return
 		}
-		if needFinal {
-			// Close before any chunk: publish one version of the empty
-			// stream so pollers see the (failed) outcome.
-			s.rescore()
-		}
-		m.mu.Lock()
-		failed := s.lastErr != nil
-		canceled = s.state == StreamCanceled
-		m.mu.Unlock()
-		switch {
-		case canceled:
-			s.finish(StreamCanceled)
-		case failed:
-			s.finish(StreamFailed)
-		default:
-			s.persistFinal()
-			s.finish(StreamDone)
-		}
-		return
+	}
+}
+
+// finalize takes the stream's final transition: failed when its chunks
+// could not be applied (applyErr) or its last version is an error, else
+// done with that version persisted. A stream a Cancel or drain abort
+// already ended keeps that state, and nothing is persisted.
+func (s *Stream) finalize(applyErr error) {
+	m := s.m
+	if applyErr == nil && s.seq == 0 {
+		// Closed before any chunk: publish one version of the empty
+		// stream so pollers see the (failed) outcome.
+		s.rescore()
+	}
+	m.mu.Lock()
+	var perr error
+	switch {
+	case s.state.Terminal():
+	case applyErr != nil:
+		// Chunk admission validates shape, so an apply error means the
+		// stream's data model broke: the stream fails for good.
+		s.lastErr = errorInfo(applyErr)
+		m.finishLocked(s, StreamFailed)
+	case s.lastErr != nil:
+		m.finishLocked(s, StreamFailed)
+	default:
+		// The last version succeeded, so scores is set. Persisting under
+		// the lock makes storing it and winning the transition to done
+		// one step.
+		perr = m.opt.Store.Put(s.key, *s.scores)
+		m.finishLocked(s, StreamDone)
+	}
+	m.mu.Unlock()
+	if perr != nil {
+		m.log.Warn("stream result not persisted", "stream", s.id, "error", perr)
 	}
 }
 
@@ -712,6 +625,9 @@ func (s *Stream) rescore() {
 	m := s.m
 	m.mu.Lock()
 	m.rescores.Observe(elapsed)
+	for i := range s.workloads {
+		s.workloads[i] = len(s.run.Measurement(i).Workloads)
+	}
 	s.seq++
 	if err != nil {
 		s.lastErr = errorInfo(err)
@@ -725,46 +641,38 @@ func (s *Stream) rescore() {
 	m.mu.Unlock()
 }
 
-// persistFinal writes the final ScoreSet to the result store under the
-// stream's content-addressed key.
-func (s *Stream) persistFinal() {
-	m := s.m
-	m.mu.Lock()
-	key, scores := s.key, s.scores
-	m.mu.Unlock()
-	if m.opt.Store == nil || scores == nil {
-		return
-	}
-	if err := m.opt.Store.Put(key, *scores); err != nil {
-		m.opt.Log.Warn("stream result not persisted", "stream", s.id, "error", err)
+// sealLocked moves an open stream to closing: no more chunks are
+// admitted, and its loop applies the backlog and takes the final
+// transition.
+func (m *StreamManager) sealLocked(s *Stream) {
+	if s.state == StreamOpen {
+		m.moveLocked(s, StreamClosing)
+		m.wakeLocked(s)
 	}
 }
 
-// finish moves the stream to a terminal state and wakes every waiter.
-func (s *Stream) finish(state StreamState) {
-	m := s.m
-	m.mu.Lock()
-	s.state = state
-	s.finishedAt = time.Now()
+// wakeLocked starts the stream's rescore goroutine unless it is already
+// running; a running one picks up new work before it exits.
+func (m *StreamManager) wakeLocked(s *Stream) {
+	if !s.looping {
+		s.looping = true
+		m.wg.Add(1)
+		go s.loop()
+	}
+}
+
+// finishLocked takes the stream's terminal transition (the first one
+// wins): the backlog is dropped, a rescore in flight is cancelled, and
+// long-pollers wake. It reports whether state won.
+func (m *StreamManager) finishLocked(s *Stream, state StreamState) bool {
+	if !m.endLocked(s, state, "chunks", s.chunks, "versions", s.seq) {
+		return false
+	}
+	s.pending = nil
 	s.cancel()
 	close(s.notify)
 	s.notify = make(chan struct{})
-	close(s.done)
-	m.cond.Broadcast()
-	m.mu.Unlock()
-	m.opt.Log.Info("stream finished", "stream", s.id, "state", state, "chunks", s.chunks, "versions", s.seq)
-}
-
-// Done returns a channel closed when the stream's goroutine has exited;
-// tests and drains use it to join on completion.
-func (m *StreamManager) Done(id string) (<-chan struct{}, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	s := m.streams[id]
-	if s == nil {
-		return nil, ErrStreamNotFound
-	}
-	return s.done, nil
+	return true
 }
 
 // snapshotLocked renders the client view; the manager mutex must be held.
@@ -778,12 +686,9 @@ func (s *Stream) snapshotLocked() StreamSnapshot {
 		Key:       s.key,
 		Chunks:    s.chunks,
 		Seq:       s.seq,
-		Workloads: make([]int, s.run.Suites()),
+		Workloads: append([]int(nil), s.workloads...),
 		Error:     s.lastErr,
 		CreatedAt: s.createdAt,
-	}
-	for i := range snap.Workloads {
-		snap.Workloads[i] = len(s.run.Measurement(i).Workloads)
 	}
 	if !s.finishedAt.IsZero() {
 		t := s.finishedAt

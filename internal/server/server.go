@@ -262,6 +262,27 @@ func (s *Server) writeJSON(w http.ResponseWriter, code int, v any) {
 	}
 }
 
+// reply writes v under code, or err under the status its job or stream
+// error maps to; any other error is the client's (400).
+func (s *Server) reply(w http.ResponseWriter, code int, v any, err error) {
+	switch {
+	case err == nil:
+		s.writeJSON(w, code, v)
+		return
+	case errors.Is(err, jobs.ErrNotFound), errors.Is(err, jobs.ErrStreamNotFound):
+		code = http.StatusNotFound
+	case errors.Is(err, jobs.ErrStreamClosed):
+		code = http.StatusConflict
+	case errors.Is(err, jobs.ErrQueueFull), errors.Is(err, jobs.ErrStreamLimit), errors.Is(err, jobs.ErrStreamBacklog):
+		code = http.StatusTooManyRequests
+	case errors.Is(err, jobs.ErrDraining):
+		code = http.StatusServiceUnavailable
+	default:
+		code = http.StatusBadRequest
+	}
+	s.writeError(w, code, "%v", err)
+}
+
 type errorBody struct {
 	Error string `json:"error"`
 	// Job carries the snapshot when the error concerns a job that does
@@ -291,10 +312,12 @@ func retryAfterSeconds(d time.Duration) string {
 	return fmt.Sprintf("%d", int64(math.Ceil(d.Seconds())))
 }
 
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	// Per-tenant quota runs before the body is even read: a throttled
-	// tenant costs one header lookup, not a decode of a multi-megabyte
-	// trace upload.
+// admit is the admission path of job submissions, stream opens and
+// chunk appends: the X-Tenant token bucket runs before the body is read
+// (a throttled tenant costs a header lookup, not a trace decode), then
+// at most limit bytes decode strictly into v. On false the 429 or 400
+// is already written.
+func (s *Server) admit(w http.ResponseWriter, r *http.Request, limit int64, what string, v any) bool {
 	tenant := r.Header.Get("X-Tenant")
 	if tenant == "" {
 		tenant = "default"
@@ -303,14 +326,19 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		s.metrics.ObserveQuotaRejection(tenant)
 		w.Header().Set("Retry-After", retryAfterSeconds(retry))
 		s.writeError(w, http.StatusTooManyRequests, "tenant %q is over its submission quota", tenant)
-		return
+		return false
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	r.Body = http.MaxBytesReader(w, r.Body, limit)
+	if err := jobs.DecodeStrict(r.Body, v); err != nil {
+		s.writeError(w, http.StatusBadRequest, "decoding %s: %v", what, err)
+		return false
+	}
+	return true
+}
+
+func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req jobs.Request
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !s.admit(w, r, maxBodyBytes, "request", &req) {
 		return
 	}
 	// The job inherits this request's trace ID (body-supplied IDs win,
@@ -338,8 +366,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	snap, deduped, err := s.cfg.Queue.Submit(req)
-	switch {
-	case errors.Is(err, jobs.ErrQueueFull):
+	if errors.Is(err, jobs.ErrQueueFull) {
 		// Retry-After estimates when a slot frees from queue depth and
 		// the instr/sec EWMA; on a coordinator the fleet's aggregate
 		// capacity is the parallelism, so adding workers shortens it.
@@ -349,13 +376,9 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		s.metrics.ObserveBackpressureRejection()
 		w.Header().Set("Retry-After", retryAfterSeconds(s.cfg.Queue.RetryAfter(parallel)))
-		s.writeError(w, http.StatusTooManyRequests, "%v", err)
-		return
-	case errors.Is(err, jobs.ErrDraining):
-		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
-		return
-	case err != nil:
-		s.writeError(w, http.StatusBadRequest, "%v", err)
+	}
+	if err != nil {
+		s.reply(w, 0, nil, err)
 		return
 	}
 	w.Header().Set("Location", "/api/v1/jobs/"+snap.ID)
@@ -420,11 +443,7 @@ func (s *Server) handleJobResult(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.cfg.Queue.Cancel(r.PathValue("id"))
-	if errors.Is(err, jobs.ErrNotFound) {
-		s.writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, snap)
+	s.reply(w, http.StatusOK, snap, err)
 }
 
 func (s *Server) handleListResults(w http.ResponseWriter, r *http.Request) {

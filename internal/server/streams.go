@@ -4,9 +4,9 @@ package server
 // opens a stream naming the suites it will feed, POSTs measurement
 // chunks as workloads execute, and long-polls the evolving ScoreSet;
 // closing seals the stream and persists the final result under its
-// content-addressed key. Status mapping follows the job endpoints:
-// admission limits are 429, draining is 503, appends to a sealed stream
-// are 409.
+// content-addressed key. Status mapping is the job endpoints' (see
+// reply): admission limits are 429, draining is 503, appends to a
+// sealed stream are 409.
 //
 //	POST   /api/v1/streams                    open a stream (201)
 //	GET    /api/v1/streams                    list streams, oldest first
@@ -18,7 +18,6 @@ package server
 //	DELETE /api/v1/streams/{id}               cancel
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -33,61 +32,16 @@ import (
 // heap before validation rejects the chunk.
 const maxChunkBodyBytes = 8 << 20
 
-// streamError maps stream-layer errors onto HTTP statuses.
-func (s *Server) streamError(w http.ResponseWriter, err error) {
-	code := http.StatusBadRequest
-	switch {
-	case errors.Is(err, jobs.ErrStreamNotFound):
-		code = http.StatusNotFound
-	case errors.Is(err, jobs.ErrStreamClosed):
-		code = http.StatusConflict
-	case errors.Is(err, jobs.ErrStreamLimit), errors.Is(err, jobs.ErrStreamBacklog):
-		code = http.StatusTooManyRequests
-	case errors.Is(err, jobs.ErrDraining):
-		code = http.StatusServiceUnavailable
-	}
-	s.writeError(w, code, "%v", err)
-}
-
-// streamQuota applies the per-tenant token bucket shared with job
-// submission; streams and chunk appends draw from the same budget.
-func (s *Server) streamQuota(w http.ResponseWriter, r *http.Request) bool {
-	tenant := r.Header.Get("X-Tenant")
-	if tenant == "" {
-		tenant = "default"
-	}
-	if ok, retry := s.cfg.Quota.Allow(tenant); !ok {
-		s.metrics.ObserveQuotaRejection(tenant)
-		w.Header().Set("Retry-After", retryAfterSeconds(retry))
-		s.writeError(w, http.StatusTooManyRequests, "tenant %q is over its submission quota", tenant)
-		return false
-	}
-	return true
-}
-
-func decodeStrict(r io.Reader, v any) error {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	return dec.Decode(v)
-}
-
 func (s *Server) handleOpenStream(w http.ResponseWriter, r *http.Request) {
-	if !s.streamQuota(w, r) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxChunkBodyBytes)
 	var req jobs.StreamOpenRequest
-	if err := decodeStrict(r.Body, &req); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !s.admit(w, r, maxChunkBodyBytes, "request", &req) {
 		return
 	}
 	snap, err := s.cfg.Streams.Open(req)
-	if err != nil {
-		s.streamError(w, err)
-		return
+	if err == nil {
+		w.Header().Set("Location", "/api/v1/streams/"+snap.ID)
 	}
-	w.Header().Set("Location", "/api/v1/streams/"+snap.ID)
-	s.writeJSON(w, http.StatusCreated, snap)
+	s.reply(w, http.StatusCreated, snap, err)
 }
 
 func (s *Server) handleListStreams(w http.ResponseWriter, r *http.Request) {
@@ -96,29 +50,16 @@ func (s *Server) handleListStreams(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleGetStream(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.cfg.Streams.Get(r.PathValue("id"))
-	if err != nil {
-		s.streamError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, snap)
+	s.reply(w, http.StatusOK, snap, err)
 }
 
 func (s *Server) handleStreamChunk(w http.ResponseWriter, r *http.Request) {
-	if !s.streamQuota(w, r) {
-		return
-	}
-	r.Body = http.MaxBytesReader(w, r.Body, maxChunkBodyBytes)
 	var chunk jobs.StreamChunk
-	if err := decodeStrict(r.Body, &chunk); err != nil {
-		s.writeError(w, http.StatusBadRequest, "decoding chunk: %v", err)
+	if !s.admit(w, r, maxChunkBodyBytes, "chunk", &chunk) {
 		return
 	}
 	snap, err := s.cfg.Streams.Append(r.PathValue("id"), chunk)
-	if err != nil {
-		s.streamError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusAccepted, snap)
+	s.reply(w, http.StatusAccepted, snap, err)
 }
 
 func (s *Server) handleStreamScores(w http.ResponseWriter, r *http.Request) {
@@ -144,33 +85,21 @@ func (s *Server) handleStreamScores(w http.ResponseWriter, r *http.Request) {
 		since = 0
 	}
 	sc, err := s.cfg.Streams.Scores(r.Context(), id, since)
-	if err != nil {
-		if errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
-			s.writeError(w, http.StatusServiceUnavailable, "client disconnected while waiting")
-			return
-		}
-		s.streamError(w, err)
+	if err != nil && errors.Is(err, r.Context().Err()) && r.Context().Err() != nil {
+		s.writeError(w, http.StatusServiceUnavailable, "client disconnected while waiting")
 		return
 	}
-	s.writeJSON(w, http.StatusOK, sc)
+	s.reply(w, http.StatusOK, sc, err)
 }
 
 func (s *Server) handleCloseStream(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.cfg.Streams.Close(r.PathValue("id"))
-	if err != nil {
-		s.streamError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, snap)
+	s.reply(w, http.StatusOK, snap, err)
 }
 
 func (s *Server) handleCancelStream(w http.ResponseWriter, r *http.Request) {
 	snap, err := s.cfg.Streams.Cancel(r.PathValue("id"))
-	if err != nil {
-		s.streamError(w, err)
-		return
-	}
-	s.writeJSON(w, http.StatusOK, snap)
+	s.reply(w, http.StatusOK, snap, err)
 }
 
 // writeStreamMetrics renders the streaming gauges and the rescore
