@@ -13,17 +13,16 @@ package perspector_test
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"testing"
 
 	"perspector"
+	"perspector/internal/benchset"
 	"perspector/internal/cluster"
 	"perspector/internal/dtw"
 	"perspector/internal/lhs"
 	"perspector/internal/mat"
 	"perspector/internal/metric"
-	"perspector/internal/obs"
 	"perspector/internal/pca"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
@@ -278,88 +277,26 @@ func BenchmarkSubsetGeneration(b *testing.B) {
 	b.ReportMetric(100*res.Deviation, "deviation-%")
 }
 
+// The simulator and incremental-scoring benchmarks below share their
+// bodies with cmd/benchjson through internal/benchset, so a `go test
+// -bench` number and a BENCH_simulator.json number measure the same work.
+
 // BenchmarkSimulateSuite measures raw simulator throughput: executing the
 // Nbench suite end to end (the substrate cost behind every figure).
-func BenchmarkSimulateSuite(b *testing.B) {
-	cfg := benchConfig()
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	totalInstr := cfg.Instructions * uint64(len(s.Specs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perspector.Measure(s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(totalInstr), "instructions/op")
-}
+func BenchmarkSimulateSuite(b *testing.B) { benchset.SimulateSuite(b) }
 
-// BenchmarkSimulateWorkload measures the simulator on a single workload —
-// the first Nbench kernel — so per-core throughput is separable from the
-// suite-level number, which folds in the worker fan-out and any
-// cross-workload machine reuse.
-func BenchmarkSimulateWorkload(b *testing.B) {
-	cfg := benchConfig()
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Specs = s.Specs[:1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perspector.Measure(s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(cfg.Instructions), "instructions/op")
-}
+// BenchmarkSimulateWorkload measures the simulator on a single workload,
+// so per-core throughput is separable from the suite-level number.
+func BenchmarkSimulateWorkload(b *testing.B) { benchset.SimulateWorkload(b) }
 
 // BenchmarkSimulateSuiteTotalsOnly is BenchmarkSimulateSuite through the
-// counters-only fast path: no sampled series is built, and the totals are
-// pinned bit-identical to the full run by TestCountersOnlyMatchesFullTotals.
-func BenchmarkSimulateSuiteTotalsOnly(b *testing.B) {
-	cfg := benchConfig()
-	cfg.TotalsOnly = true
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	totalInstr := cfg.Instructions * uint64(len(s.Specs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perspector.Measure(s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(totalInstr), "instructions/op")
-}
+// counters-only fast path.
+func BenchmarkSimulateSuiteTotalsOnly(b *testing.B) { benchset.SimulateSuiteTotalsOnly(b) }
 
 // BenchmarkSimulateSuiteRecorder is BenchmarkSimulateSuite with a live
 // telemetry recorder attached — the pair quantifies the span overhead
-// the observability acceptance criterion bounds at 2%. A fresh recorder
-// per iteration keeps the arena from amortizing across iterations.
-func BenchmarkSimulateSuiteRecorder(b *testing.B) {
-	cfg := benchConfig()
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	totalInstr := cfg.Instructions * uint64(len(s.Specs))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		ctx := obs.WithRecorder(context.Background(), obs.NewRecorder())
-		if _, err := perspector.MeasureContext(ctx, s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(totalInstr), "instructions/op")
-}
+// the observability acceptance criterion bounds at 2%.
+func BenchmarkSimulateSuiteRecorder(b *testing.B) { benchset.SimulateSuiteRecorder(b) }
 
 // --- Ablation benchmarks (DESIGN.md "Design choices" section) ---
 
@@ -649,95 +586,16 @@ func BenchmarkAblationPrefetcher(b *testing.B) {
 
 // --- Incremental scoring A/B (streaming-score acceptance pair) ---
 
-// benchStreamMeasurement fabricates a deterministic measurement with n
-// workloads, each carrying totals and a samples-long delta series per
-// counter — the shape a perspectord stream accumulates chunk by chunk.
-func benchStreamMeasurement(seed uint64, n, samples int) *perf.SuiteMeasurement {
-	src := rng.New(seed)
-	sm := &perf.SuiteMeasurement{Suite: "streambench"}
-	for i := 0; i < n; i++ {
-		m := perf.Measurement{Workload: fmt.Sprintf("w%02d", i)}
-		m.Series.Interval = 1000
-		for c := 0; c < int(perf.NumCounters); c++ {
-			m.Totals[perf.Counter(c)] = uint64(src.Intn(50000))
-			for s := 0; s < samples; s++ {
-				m.Series.Samples[perf.Counter(c)] = append(
-					m.Series.Samples[perf.Counter(c)], float64(src.Intn(2000)))
-			}
-		}
-		sm.Workloads = append(sm.Workloads, m)
-	}
-	return sm
-}
-
 // BenchmarkFullRescore is the batch baseline of the incremental A/B
-// pair: one op scores a fixed 64-workload measurement from scratch —
-// the cost a streaming client would pay per chunk without the
-// incremental engine.
-func BenchmarkFullRescore(b *testing.B) {
-	sm := benchStreamMeasurement(2023, 64, 64)
-	opts := perspector.DefaultOptions()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := metric.ScoreSuites(ctx, []*perf.SuiteMeasurement{sm}, opts, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+// pair: one op scores a fixed 64-workload measurement from scratch.
+func BenchmarkFullRescore(b *testing.B) { benchset.FullRescore(b) }
 
-// benchIncrementalAppend is the shared body of the incremental append
-// benchmarks: a run already holding the 64-workload measurement with
-// every artifact cached, where one op appends a chunk to one workload
-// and rescores. withTotals selects whether the chunk carries a counter
-// totals delta alongside its series samples.
-func benchIncrementalAppend(b *testing.B, withTotals bool) {
-	sm := benchStreamMeasurement(2023, 64, 64)
-	opts := perspector.DefaultOptions()
-	ctx := context.Background()
-	run, err := metric.NewIncrementalRun([]*perf.SuiteMeasurement{sm}, opts, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Build every cache once; the benchmark starts in the steady state.
-	if _, err := run.Scores(ctx); err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, len(run.Measurement(0).Workloads))
-	for i := range names {
-		names[i] = run.Measurement(0).Workloads[i].Workload
-	}
-	src := rng.New(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var delta perf.Values
-		tail := &perf.TimeSeries{Interval: 1000}
-		for c := 0; c < int(perf.NumCounters); c++ {
-			if withTotals {
-				delta[perf.Counter(c)] = uint64(src.Intn(500))
-			}
-			tail.Samples[perf.Counter(c)] = []float64{
-				float64(src.Intn(2000)), float64(src.Intn(2000))}
-		}
-		if err := run.AppendSamples(0, names[i%len(names)], delta, tail); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := run.Scores(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkIncrementalAppend measures the steady state of the streaming
-// path: one op appends a sample chunk (two series samples per counter)
-// to one workload and rescores. The counter matrix is untouched, so the
-// cluster/coverage/spread results stay memoized and only the touched
-// row's DTW pair distances recompute; the property test in
-// internal/metric pins each update bit-identical to the batch path.
-func BenchmarkIncrementalAppend(b *testing.B) { benchIncrementalAppend(b, false) }
+// BenchmarkIncrementalAppend (benchjson's IncrRescore) measures the
+// steady state of the streaming path: one op appends a sample chunk to
+// one workload and rescores; the property test in internal/metric pins
+// each update bit-identical to the batch path.
+func BenchmarkIncrementalAppend(b *testing.B) { benchset.IncrRescore(b) }
 
 // BenchmarkIncrementalAppendTotals is the worst-case chunk: a counter
-// totals delta rides along with the samples, so the normalization
-// bounds, the distance matrix and every totals-derived metric (the full
-// k-means sweep included) recompute alongside the DTW row.
-func BenchmarkIncrementalAppendTotals(b *testing.B) { benchIncrementalAppend(b, true) }
+// totals delta rides along with the samples.
+func BenchmarkIncrementalAppendTotals(b *testing.B) { benchset.IncrRescoreTotals(b) }

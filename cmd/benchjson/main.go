@@ -7,17 +7,18 @@
 //	go run ./cmd/benchjson -out BENCH_simulator.json
 //
 // and compare simulated_instr_per_sec across commits. The benchmark
-// bodies mirror BenchmarkSimulateSuite / BenchmarkSimulateWorkload
-// (suite and per-workload level) and the BenchmarkCacheAccess /
-// BenchmarkTLBTranslate / BenchmarkMachineStep microbenchmarks
-// (component level), so a regression can be localized to the layer that
-// caused it; SimulateSuiteTotalsOnly measures the counters-only fast
-// path against the full sampled run, and StreamIngest measures the
-// streaming instruction-log reader (parsed records per second).
-// FullRescore and IncrRescore are the incremental-scoring A/B pair: the
-// cost of batch-scoring a 64-workload measurement from scratch versus
-// appending one sample chunk to it and rescoring through the
-// incremental engine (the perspectord streaming-score hot path).
+// bodies live in internal/benchset, which the `go test -bench` wrappers
+// of the same names call too. They span the suite and per-workload
+// level (SimulateSuite, SimulateWorkload) and the component level
+// (MachineStep, CacheAccess, TLBTranslate), so a regression can be
+// localized to the layer that caused it; SimulateSuiteTotalsOnly
+// measures the counters-only fast path against the full sampled run,
+// and StreamIngest measures the streaming instruction-log reader (parsed
+// records per second). FullRescore and IncrRescore are the
+// incremental-scoring A/B pair: the cost of batch-scoring a 64-workload
+// measurement from scratch versus appending one sample chunk to it and
+// rescoring through the incremental engine (the perspectord
+// streaming-score hot path).
 //
 // Each run also appends one line to BENCH_history.jsonl (disable with
 // -history ""): the same report plus the git commit, so the repository
@@ -26,18 +27,19 @@
 //
 // With -check <snapshot>, the run compares its own suite-level
 // simulated_instr_per_sec against the snapshot's and exits non-zero on a
-// regression beyond -check-tolerance. The suite benchmark keeps the best
-// of -check-rounds runs: scheduling noise on shared runners only ever
-// slows a run down, so the fastest observation is the least contaminated
-// one.
+// regression beyond -check-tolerance. When any gate runs, the suite
+// benchmark keeps the best of gateRounds runs: scheduling noise on
+// shared runners only ever slows a run down, so the fastest observation
+// is the least contaminated one.
 //
 // With -check-history <jsonl>, the run is additionally gated against the
 // accumulated history distribution: each instr/sec-bearing benchmark
-// must not fall below a low percentile (default p10, with slack) of the
-// last K runs recorded on the same machine class (goos/goarch). Unlike
-// the fixed-tolerance snapshot check, this floor tracks what the machine
-// class actually sustains, and it refuses to judge (inconclusive pass)
-// when the history holds too few same-class runs.
+// must not fall below the p10 floor (with 5% slack) of the last 10 runs
+// recorded on the same machine class (goos/goarch) —
+// perfhist.DefaultGateOptions. Unlike the fixed-tolerance snapshot
+// check, this floor tracks what the machine class actually sustains, and
+// it refuses to judge (inconclusive pass) when the history holds fewer
+// than 3 same-class runs.
 //
 // The compare subcommand is the paired same-moment A/B primitive the CI
 // regression gate runs:
@@ -47,38 +49,30 @@
 // It measures A and B back-to-back in each round (interleaved, so slow
 // machine moments hit both sides of a pair), judges the best-of-N ns/op
 // delta against a noise band estimated from the rounds themselves
-// (internal/perfhist.Compare), writes a machine-readable Verdict, and
-// exits non-zero on a statistically significant regression. With -b
-// omitted, B is the same benchmark as A — a no-change self-comparison
-// that must pass, which CI runs to validate the comparator itself. The
-// -inject-slowdown knob multiplies B's observed ns/op to prove the gate
-// fires on a real slowdown (the synthetic-regression self-test journaled
-// in EXPERIMENTS.md).
+// (internal/perfhist.Compare with its default options), writes a
+// machine-readable Verdict, and exits non-zero on a statistically
+// significant regression. With -b omitted, B is the same benchmark as A
+// — a no-change self-comparison that must pass, which CI runs to
+// validate the comparator itself. The -inject-slowdown knob multiplies
+// B's observed ns/op to prove the gate fires on a real slowdown (the
+// synthetic-regression self-test journaled in EXPERIMENTS.md).
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/exec"
 	"runtime"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
-	"context"
-
-	perspector "perspector"
+	"perspector/internal/benchset"
 	"perspector/internal/buildinfo"
-	"perspector/internal/metric"
-	"perspector/internal/perf"
 	"perspector/internal/perfhist"
-	"perspector/internal/rng"
-	"perspector/internal/trace"
-	"perspector/internal/uarch"
 )
 
 // The report schema is owned by internal/perfhist — Record is one run,
@@ -107,39 +101,23 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// benchSpec is one registered benchmark: the record mode runs all of
-// them, the compare subcommand picks sides by name.
-type benchSpec struct {
-	name       string
-	instrPerOp func() uint64
-	body       func(b *testing.B)
-}
+// gateRounds is how many times the suite benchmark runs when a gate
+// judges the record; the best round is kept.
+const gateRounds = 3
 
-var benchRegistry = []benchSpec{
-	{"SimulateSuite", suiteInstr, benchSimulateSuite},
-	{"SimulateSuiteTotalsOnly", suiteInstr, benchSimulateSuiteTotalsOnly},
-	{"SimulateWorkload", workloadInstr, benchSimulateWorkload},
-	{"StreamIngest", streamInstr, benchStreamIngest},
-	{"FullRescore", nil, benchFullRescore},
-	{"IncrRescore", nil, benchIncrRescore},
-	{"MachineStep", func() uint64 { return 1 }, benchMachineStep},
-	{"CacheAccess", nil, benchCacheAccess},
-	{"TLBTranslate", nil, benchTLBTranslate},
-}
-
-func lookupBench(name string) (benchSpec, bool) {
-	for _, b := range benchRegistry {
-		if b.name == name {
+func lookupBench(name string) (benchset.Bench, bool) {
+	for _, b := range benchset.All {
+		if b.Name == name {
 			return b, true
 		}
 	}
-	return benchSpec{}, false
+	return benchset.Bench{}, false
 }
 
 func benchNames() string {
-	names := make([]string, len(benchRegistry))
-	for i, b := range benchRegistry {
-		names[i] = b.name
+	names := make([]string, len(benchset.All))
+	for i, b := range benchset.All {
+		names[i] = b.Name
 	}
 	return strings.Join(names, ", ")
 }
@@ -163,11 +141,7 @@ func runRecord(args []string) {
 	note := fs.String("note", "", "free-form origin tag recorded with the run (e.g. ci)")
 	check := fs.String("check", "", "compare suite-level instr/sec against this committed snapshot and fail on regression")
 	checkTolerance := fs.Float64("check-tolerance", 0.10, "relative regression allowed by -check")
-	checkRounds := fs.Int("check-rounds", 3, "suite benchmark repetitions; the best round is kept")
 	checkHistory := fs.String("check-history", "", "gate instr/sec-bearing benchmarks against this history's distribution")
-	gateLastK := fs.Int("gate-last-k", 10, "reference window for -check-history: last K same-class runs")
-	gatePercentile := fs.Float64("gate-percentile", 10, "low percentile of the reference window a run must not fall below")
-	gateMinRuns := fs.Int("gate-min-runs", 3, "same-class runs required before -check-history will judge")
 	fs.Parse(args)
 	// The driver reads the package-level benchtime; there is no public
 	// per-run knob, so set it the way `go test -benchtime` would.
@@ -175,8 +149,8 @@ func runRecord(args []string) {
 		fatal(err)
 	}
 	rounds := 1
-	if (*check != "" || *checkHistory != "") && *checkRounds > 1 {
-		rounds = *checkRounds
+	if *check != "" || *checkHistory != "" {
+		rounds = gateRounds
 	}
 
 	rep := report{
@@ -188,16 +162,16 @@ func runRecord(args []string) {
 		Rounds:      rounds,
 		Note:        *note,
 	}
-	for _, bench := range benchRegistry {
+	for _, bench := range benchset.All {
 		benchRounds := 1
-		if bench.name == "SimulateSuite" {
+		if bench.Name == "SimulateSuite" {
 			benchRounds = rounds
 		}
 		var r testing.BenchmarkResult
 		for round := 0; round < benchRounds; round++ {
-			got := testing.Benchmark(bench.body)
+			got := testing.Benchmark(bench.Run)
 			if got.N == 0 {
-				fmt.Fprintf(os.Stderr, "benchjson: %s did not run (benchmark failed?)\n", bench.name)
+				fmt.Fprintf(os.Stderr, "benchjson: %s did not run (benchmark failed?)\n", bench.Name)
 				os.Exit(1)
 			}
 			if round == 0 || nsPerOp(got) < nsPerOp(r) {
@@ -205,12 +179,12 @@ func runRecord(args []string) {
 			}
 		}
 		res := result{
-			Name:       bench.name,
+			Name:       bench.Name,
 			NsPerOp:    nsPerOp(r),
 			Iterations: r.N,
 		}
-		if bench.instrPerOp != nil {
-			res.SimulatedInstrPerOp = bench.instrPerOp()
+		if instr := r.Extra[benchset.InstrMetric]; instr > 0 {
+			res.SimulatedInstrPerOp = uint64(instr)
 			res.SimulatedInstrPerSec = float64(res.SimulatedInstrPerOp) / (res.NsPerOp / 1e9)
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)
@@ -233,11 +207,7 @@ func runRecord(args []string) {
 	// is appended, so a run is never its own reference.
 	var gateErr error
 	if *checkHistory != "" {
-		gateErr = checkAgainstHistory(*checkHistory, rep, perfhist.GateOptions{
-			LastK:      *gateLastK,
-			Percentile: *gatePercentile,
-			MinRuns:    *gateMinRuns,
-		})
+		gateErr = checkAgainstHistory(*checkHistory, rep)
 	}
 	if *history != "" {
 		if err := appendHistory(*history, rep); err != nil {
@@ -265,8 +235,6 @@ func runCompare(args []string) {
 	benchtime := fs.Duration("benchtime", time.Second, "minimum run time per benchmark round")
 	out := fs.String("out", "", "write the machine-readable verdict JSON here (the CI job artifact)")
 	inject := fs.Float64("inject-slowdown", 1, "multiply B's observed ns/op — synthetic-regression self-test knob")
-	minEffect := fs.Float64("min-effect", 0.02, "relative change too small to flag even above the noise band")
-	noiseMult := fs.Float64("noise-mult", 2, "noise multiplier in the significance band")
 	fs.Parse(args)
 	if err := flag.Set("test.benchtime", benchtime.String()); err != nil {
 		fatal(err)
@@ -285,14 +253,14 @@ func runCompare(args []string) {
 	if *rounds < 1 {
 		fatal(fmt.Errorf("compare needs at least one round"))
 	}
-	label := a.name
-	if bb.name != a.name {
-		label = a.name + " vs " + bb.name
+	label := a.Name
+	if bb.Name != a.Name {
+		label = a.Name + " vs " + bb.Name
 	}
 	var aNs, bNs []float64
 	for round := 0; round < *rounds; round++ {
-		ra := testing.Benchmark(a.body)
-		rb := testing.Benchmark(bb.body)
+		ra := testing.Benchmark(a.Run)
+		rb := testing.Benchmark(bb.Run)
 		if ra.N == 0 || rb.N == 0 {
 			fatal(fmt.Errorf("round %d did not run (benchmark failed?)", round))
 		}
@@ -301,10 +269,7 @@ func runCompare(args []string) {
 		fmt.Printf("round %d/%d: A %.3g ns/op, B %.3g ns/op\n",
 			round+1, *rounds, aNs[round], bNs[round])
 	}
-	v, err := perfhist.Compare(context.Background(), label, aNs, bNs, perfhist.CompareOptions{
-		MinEffect: *minEffect,
-		NoiseMult: *noiseMult,
-	})
+	v, err := perfhist.Compare(context.Background(), label, aNs, bNs, perfhist.DefaultCompareOptions())
 	if err != nil {
 		fatal(err)
 	}
@@ -325,8 +290,8 @@ func runCompare(args []string) {
 
 // checkAgainstHistory gates every instr/sec-bearing benchmark of the
 // run against the history distribution: fail when one lands below the
-// configured percentile of the last K same-machine-class runs.
-func checkAgainstHistory(path string, rep report, opt perfhist.GateOptions) error {
+// perfhist.DefaultGateOptions floor of the last same-machine-class runs.
+func checkAgainstHistory(path string, rep report) error {
 	ctx := context.Background()
 	h, err := perfhist.Load(ctx, path)
 	if err != nil {
@@ -338,7 +303,7 @@ func checkAgainstHistory(path string, rep report, opt perfhist.GateOptions) erro
 		if b.SimulatedInstrPerSec <= 0 {
 			continue
 		}
-		res := h.Gate(ctx, b.Name, class, b.SimulatedInstrPerSec, opt)
+		res := h.Gate(ctx, b.Name, class, b.SimulatedInstrPerSec, perfhist.DefaultGateOptions())
 		switch {
 		case res.Inconclusive:
 			fmt.Printf("check-history: %-24s inconclusive: %s\n", b.Name, res.Reason)
@@ -378,12 +343,11 @@ func appendHistory(path string, rep report) error {
 
 // suiteLevel extracts the SimulateSuite throughput of a report.
 func suiteLevel(rep report) (float64, error) {
-	for _, r := range rep.Benchmarks {
-		if r.Name == "SimulateSuite" {
-			return r.SimulatedInstrPerSec, nil
-		}
+	b, ok := rep.Bench("SimulateSuite")
+	if !ok {
+		return 0, fmt.Errorf("no SimulateSuite entry")
 	}
-	return 0, fmt.Errorf("no SimulateSuite entry")
+	return b.SimulatedInstrPerSec, nil
 }
 
 // checkRegression compares the run's suite-level throughput against the
@@ -413,279 +377,4 @@ func checkRegression(path string, rep report, tolerance float64) error {
 	fmt.Printf("check: %.3g simulated instr/sec ≥ %.3g (committed %.3g − %.0f%%)\n",
 		got, floor, want, 100*tolerance)
 	return nil
-}
-
-// benchSimulateSuite mirrors BenchmarkSimulateSuite: the Nbench suite end
-// to end at the paper's full configuration.
-func benchSimulateSuite(b *testing.B) {
-	runSuite(b, perspector.DefaultConfig())
-}
-
-// benchSimulateSuiteTotalsOnly is the same suite through the
-// counters-only fast path: no sampled series, totals bit-identical.
-func benchSimulateSuiteTotalsOnly(b *testing.B) {
-	cfg := perspector.DefaultConfig()
-	cfg.TotalsOnly = true
-	runSuite(b, cfg)
-}
-
-func runSuite(b *testing.B, cfg perspector.Config) {
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perspector.Measure(s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchSimulateWorkload measures one workload — the first Nbench kernel —
-// so per-core throughput is separable from the sharded suite number.
-func benchSimulateWorkload(b *testing.B) {
-	cfg := perspector.DefaultConfig()
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s.Specs = s.Specs[:1]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := perspector.Measure(s, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// streamBlock renders ~1 MiB of instruction-log text cycling through
-// all five record kinds, and reports how many records it holds. The
-// block is what one StreamIngest op parses.
-func streamBlock() ([]byte, int) {
-	var buf []byte
-	records := 0
-	for i := uint64(0); len(buf) < 1<<20; i++ {
-		buf = append(buf, 'A', '\n')
-		buf = append(buf, 'L', ',')
-		buf = strconv.AppendUint(buf, i*64%(1<<22), 10)
-		buf = append(buf, '\n', 'S', ',')
-		buf = strconv.AppendUint(buf, i*128%(1<<24), 10)
-		buf = append(buf, '\n', 'B', ',')
-		buf = strconv.AppendUint(buf, 0x400000+i%64*4, 10)
-		buf = append(buf, ',', '0'+byte(i&1), '\n')
-		buf = append(buf, 'Y', ',', '0', '\n')
-		records += 5
-	}
-	return buf, records
-}
-
-// repeatReader serves block reps times — a multi-GB log without the
-// multi-GB buffer, mirroring the bounded-memory test in internal/trace.
-type repeatReader struct {
-	block []byte
-	off   int
-	reps  int
-}
-
-func (r *repeatReader) Read(p []byte) (int, error) {
-	if r.reps == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.block[r.off:])
-	r.off += n
-	if r.off == len(r.block) {
-		r.off = 0
-		r.reps--
-	}
-	return n, nil
-}
-
-// benchStreamIngest measures the streaming trace reader: one op parses
-// one streamBlock through ProgramReader.NextBatch. The instr/sec figure
-// is parsed log records per second — the ingest ceiling for replaying
-// instruction logs through the simulator.
-func benchStreamIngest(b *testing.B) {
-	block, perBlock := streamBlock()
-	pr := trace.NewProgramReader(&repeatReader{block: block, reps: b.N}, "bench")
-	batch := make([]uarch.Instr, 4096)
-	b.SetBytes(int64(len(block)))
-	b.ResetTimer()
-	total := 0
-	for {
-		n := pr.NextBatch(batch)
-		total += n
-		if n < len(batch) {
-			break
-		}
-	}
-	if err := pr.Err(); err != nil {
-		b.Fatal(err)
-	}
-	if total != perBlock*b.N {
-		b.Fatalf("parsed %d records, want %d", total, perBlock*b.N)
-	}
-}
-
-// rescoreMeasurement fabricates the fixed 64-workload measurement the
-// FullRescore/IncrRescore pair scores — the same shape bench_test.go's
-// benchStreamMeasurement builds, kept in lockstep so the committed
-// numbers stay comparable with `go test -bench`.
-func rescoreMeasurement() *perf.SuiteMeasurement {
-	src := rng.New(2023)
-	sm := &perf.SuiteMeasurement{Suite: "streambench"}
-	for i := 0; i < 64; i++ {
-		m := perf.Measurement{Workload: fmt.Sprintf("w%02d", i)}
-		m.Series.Interval = 1000
-		for c := 0; c < int(perf.NumCounters); c++ {
-			m.Totals[perf.Counter(c)] = uint64(src.Intn(50000))
-			for s := 0; s < 64; s++ {
-				m.Series.Samples[perf.Counter(c)] = append(
-					m.Series.Samples[perf.Counter(c)], float64(src.Intn(2000)))
-			}
-		}
-		sm.Workloads = append(sm.Workloads, m)
-	}
-	return sm
-}
-
-// benchFullRescore scores the fixed measurement from scratch every op —
-// what a streaming client would pay per chunk without the incremental
-// engine.
-func benchFullRescore(b *testing.B) {
-	sm := rescoreMeasurement()
-	opts := metric.DefaultOptions()
-	ctx := context.Background()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := metric.ScoreSuites(ctx, []*perf.SuiteMeasurement{sm}, opts, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchIncrRescore measures the streaming steady state: the run already
-// holds the measurement, one op appends a sample chunk (two series
-// samples per counter) to one workload and rescores incrementally.
-func benchIncrRescore(b *testing.B) {
-	run, err := metric.NewIncrementalRun(
-		[]*perf.SuiteMeasurement{rescoreMeasurement()}, metric.DefaultOptions(), nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	ctx := context.Background()
-	if _, err := run.Scores(ctx); err != nil {
-		b.Fatal(err)
-	}
-	names := make([]string, len(run.Measurement(0).Workloads))
-	for i := range names {
-		names[i] = run.Measurement(0).Workloads[i].Workload
-	}
-	src := rng.New(7)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tail := &perf.TimeSeries{Interval: 1000}
-		for c := 0; c < int(perf.NumCounters); c++ {
-			tail.Samples[perf.Counter(c)] = []float64{
-				float64(src.Intn(2000)), float64(src.Intn(2000))}
-		}
-		if err := run.AppendSamples(0, names[i%len(names)], perf.Values{}, tail); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := run.Scores(ctx); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func streamInstr() uint64 {
-	_, perBlock := streamBlock()
-	return uint64(perBlock)
-}
-
-func suiteInstr() uint64 {
-	cfg := perspector.DefaultConfig()
-	s, err := perspector.SuiteByName("nbench", cfg)
-	if err != nil {
-		return 0
-	}
-	return cfg.Instructions * uint64(len(s.Specs))
-}
-
-func workloadInstr() uint64 {
-	return perspector.DefaultConfig().Instructions
-}
-
-// strideProg mirrors the deterministic generator of the in-tree
-// BenchmarkMachineStep: a fixed kind mix whose own cost is a few ALU ops,
-// so the measurement isolates the machine's per-instruction step.
-type strideProg struct {
-	n, limit uint64
-}
-
-func (p *strideProg) Name() string { return "stride" }
-
-func (p *strideProg) Next(in *uarch.Instr) bool {
-	if p.n >= p.limit {
-		return false
-	}
-	i := p.n
-	p.n++
-	switch i % 8 {
-	case 0, 3:
-		*in = uarch.Instr{Kind: uarch.Load, Addr: i * 24}
-	case 5:
-		*in = uarch.Instr{Kind: uarch.Store, Addr: i * 40}
-	case 6:
-		*in = uarch.Instr{Kind: uarch.Branch, PC: 0x400000 + i%32*4, Taken: i%3 != 0}
-	default:
-		*in = uarch.Instr{Kind: uarch.ALU}
-	}
-	return true
-}
-
-func (p *strideProg) Reset() { p.n = 0 }
-
-func benchMachineStep(b *testing.B) {
-	m, err := uarch.NewMachine(uarch.DefaultMachineConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := uint64(b.N)
-	b.ResetTimer()
-	if _, err := m.Run(&strideProg{limit: n}, n); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func benchCacheAccess(b *testing.B) {
-	c, err := uarch.NewCache(uarch.CacheConfig{Name: "b", SizeB: 32 << 10, LineB: 64, Ways: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(src.Intn(1 << 22))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(addrs[i&4095])
-	}
-}
-
-func benchTLBTranslate(b *testing.B) {
-	tlb, err := uarch.NewTLB(uarch.DefaultTLBConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(src.Intn(1 << 30))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tlb.Translate(addrs[i&4095])
-	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -23,6 +24,10 @@ var ErrUnknownNode = errors.New("fleet: unknown node")
 
 // ErrClosed rejects dispatches after Close.
 var ErrClosed = errors.New("fleet: coordinator closed")
+
+// ErrArchMismatch rejects a join from a worker built for another
+// GOARCH than the coordinator's (see JoinRequest.GOARCH).
+var ErrArchMismatch = errors.New("fleet: worker GOARCH differs from the coordinator's")
 
 // CoordinatorOptions wires the coordinator's collaborators and tuning.
 type CoordinatorOptions struct {
@@ -343,6 +348,10 @@ func removeDispatch(ds []*dispatch, d *dispatch) []*dispatch {
 func (c *Coordinator) Join(req JoinRequest) (JoinResponse, error) {
 	if req.NodeID == "" {
 		return JoinResponse{}, fmt.Errorf("fleet: join without a node_id")
+	}
+	if req.GOARCH != runtime.GOARCH {
+		return JoinResponse{}, fmt.Errorf("%w: node %s is %q, coordinator is %q",
+			ErrArchMismatch, req.NodeID, req.GOARCH, runtime.GOARCH)
 	}
 	if req.Capacity < 1 {
 		req.Capacity = 1

@@ -54,6 +54,11 @@ type JoinRequest struct {
 	// RepSeq is the replication-log position the node has already
 	// applied, 0 for a fresh store.
 	RepSeq uint64 `json:"rep_seq"`
+	// GOARCH is the architecture the worker binary was built for. The
+	// coordinator refuses any other than its own: a compiler may fuse
+	// x*y+z into one FMA on some architectures, so a foreign worker can
+	// compute different score bits under the same content key.
+	GOARCH string `json:"goarch"`
 }
 
 // JoinResponse acknowledges a join with the replication backfill.

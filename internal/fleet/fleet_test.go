@@ -173,7 +173,7 @@ func TestCoordinatorUnroutedThenDelivered(t *testing.T) {
 	// No workers yet: the dispatch parks as unrouted.
 	waitFor(t, "dispatch parked unrouted", func() bool { return c.Status().Unrouted == 1 })
 
-	if _, err := c.Join(JoinRequest{NodeID: "n1", Capacity: 2}); err != nil {
+	if _, err := c.Join(JoinRequest{NodeID: "n1", Capacity: 2, GOARCH: runtime.GOARCH}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Status().Unrouted != 0 {
@@ -218,7 +218,7 @@ func TestCoordinatorExpiryRequeuesDelivered(t *testing.T) {
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Join(JoinRequest{NodeID: "n1", Capacity: 1}); err != nil {
+	if _, err := c.Join(JoinRequest{NodeID: "n1", Capacity: 1, GOARCH: runtime.GOARCH}); err != nil {
 		t.Fatal(err)
 	}
 	got := make(chan error, 1)
@@ -247,7 +247,7 @@ func TestCoordinatorExpiryRequeuesDelivered(t *testing.T) {
 	if st := c.Status(); st.Unrouted != 1 {
 		t.Fatalf("unrouted = %d after crash expiry, want 1", st.Unrouted)
 	}
-	if _, err := c.Join(JoinRequest{NodeID: "n2", Capacity: 1}); err != nil {
+	if _, err := c.Join(JoinRequest{NodeID: "n2", Capacity: 1, GOARCH: runtime.GOARCH}); err != nil {
 		t.Fatal(err)
 	}
 	pull2, err := c.Pull(context.Background(), PullRequest{NodeID: "n2", Max: 1})
@@ -290,7 +290,7 @@ func TestCoordinatorAbandonCancelsDelivered(t *testing.T) {
 	if err := req.Normalize(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Join(JoinRequest{NodeID: "n1", Capacity: 1}); err != nil {
+	if _, err := c.Join(JoinRequest{NodeID: "n1", Capacity: 1, GOARCH: runtime.GOARCH}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -317,6 +317,32 @@ func TestCoordinatorAbandonCancelsDelivered(t *testing.T) {
 	}
 	if len(hb.Cancels) != 1 || hb.Cancels[0] != pull.Dispatches[0].ID {
 		t.Fatalf("heartbeat cancels = %v, want [%d]", hb.Cancels, pull.Dispatches[0].ID)
+	}
+}
+
+// TestCoordinatorRefusesForeignArch pins the architecture guard: a worker
+// built for another GOARCH (or one that does not say) is refused and
+// never enters the ring, because it could store different score bits
+// under the same content key.
+func TestCoordinatorRefusesForeignArch(t *testing.T) {
+	c := NewCoordinator(CoordinatorOptions{})
+	defer c.Close()
+
+	foreign := "arm64"
+	if runtime.GOARCH == foreign {
+		foreign = "amd64"
+	}
+	for _, arch := range []string{foreign, ""} {
+		_, err := c.Join(JoinRequest{NodeID: "n1", Capacity: 1, GOARCH: arch})
+		if !errors.Is(err, ErrArchMismatch) {
+			t.Errorf("join with GOARCH %q returned %v, want ErrArchMismatch", arch, err)
+		}
+	}
+	if n := len(c.Status().Nodes); n != 0 {
+		t.Fatalf("%d nodes registered after refused joins, want 0", n)
+	}
+	if _, err := c.Join(JoinRequest{NodeID: "n1", Capacity: 1, GOARCH: runtime.GOARCH}); err != nil {
+		t.Fatalf("join with the coordinator's GOARCH: %v", err)
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -351,6 +352,7 @@ func (w *Worker) join() (JoinResponse, error) {
 		NodeID:   w.opt.NodeID,
 		Capacity: w.opt.Capacity,
 		RepSeq:   w.repSeq.Load(),
+		GOARCH:   runtime.GOARCH,
 	}, &resp)
 	return resp, err
 }

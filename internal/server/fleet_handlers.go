@@ -37,11 +37,14 @@ func (s *Server) decodeFleet(w http.ResponseWriter, r *http.Request, v any) bool
 }
 
 // writeFleetError maps coordinator errors to statuses: unknown node is
-// the worker's cue to re-join.
+// the worker's cue to re-join; a worker of another architecture
+// conflicts with the fleet.
 func (s *Server) writeFleetError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, fleet.ErrUnknownNode):
 		s.writeError(w, http.StatusNotFound, "%v", err)
+	case errors.Is(err, fleet.ErrArchMismatch):
+		s.writeError(w, http.StatusConflict, "%v", err)
 	case errors.Is(err, fleet.ErrClosed):
 		s.writeError(w, http.StatusServiceUnavailable, "%v", err)
 	default:

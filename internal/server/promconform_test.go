@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"regexp"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -203,7 +204,7 @@ func TestMetricsPrometheusConformance(t *testing.T) {
 		t.Fatalf("result: %d", code)
 	}
 	code, data = env.do(t, "POST", "/api/v1/fleet/join",
-		fleet.JoinRequest{NodeID: "node-a", Capacity: 2})
+		fleet.JoinRequest{NodeID: "node-a", Capacity: 2, GOARCH: runtime.GOARCH})
 	if code != http.StatusOK {
 		t.Fatalf("join: %d %s", code, data)
 	}

@@ -8,10 +8,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
+	"perspector/internal/fleet"
 	"perspector/internal/jobs"
 	"perspector/internal/metric"
 	"perspector/internal/server"
@@ -382,5 +384,28 @@ func TestMetricsExposition(t *testing.T) {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
 		}
+	}
+}
+
+// TestFleetJoinForeignArchConflicts checks the HTTP face of the
+// coordinator's architecture guard: a join from a worker built for
+// another GOARCH is a 409 and registers no node.
+func TestFleetJoinForeignArchConflicts(t *testing.T) {
+	var coord *fleet.Coordinator
+	env := newEnv(t, stubRunner{}.run, jobs.Options{Workers: 1}, func(cfg *server.Config) {
+		coord = fleet.NewCoordinator(fleet.CoordinatorOptions{Log: discardLog()})
+		cfg.Coordinator = coord
+	})
+	foreign := "arm64"
+	if runtime.GOARCH == foreign {
+		foreign = "amd64"
+	}
+	code, data := env.do(t, "POST", "/api/v1/fleet/join",
+		fleet.JoinRequest{NodeID: "node-a", Capacity: 1, GOARCH: foreign})
+	if code != http.StatusConflict {
+		t.Fatalf("foreign-arch join: %d %s, want 409", code, data)
+	}
+	if n := len(coord.Status().Nodes); n != 0 {
+		t.Fatalf("%d nodes registered after a refused join, want 0", n)
 	}
 }

@@ -373,18 +373,3 @@ func ranks(xs []float64) []float64 {
 	}
 	return out
 }
-
-// GeoMean returns the geometric mean of xs; all values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stat: GeoMean with non-positive value")
-		}
-		sum += math.Log(x)
-	}
-	return math.Exp(sum / float64(len(xs)))
-}

@@ -468,21 +468,6 @@ func TestSpearmanTies(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if g := GeoMean([]float64{1, 100}); !almostEq(g, 10, 1e-9) {
-		t.Fatalf("GeoMean = %v", g)
-	}
-}
-
-func TestGeoMeanPanicsNonPositive(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("GeoMean with 0 did not panic")
-		}
-	}()
-	GeoMean([]float64{1, 0})
-}
-
 func BenchmarkKSTwoSample(b *testing.B) {
 	src := rng.New(1)
 	x := make([]float64, 1000)

@@ -285,21 +285,3 @@ func TestStreamBoundedMemory(t *testing.T) {
 	}
 	t.Logf("ingested %d records (~1 GiB) with %d bytes allocated", total, allocated)
 }
-
-// BenchmarkStreamIngest measures streaming-parse throughput over the
-// synthetic log generator (b.SetBytes reports MB/s).
-func BenchmarkStreamIngest(b *testing.B) {
-	block, _ := synthBlock()
-	const reps = 64 // ~64 MiB per iteration
-	batch := make([]uarch.Instr, 4096)
-	b.SetBytes(int64(len(block)) * reps)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pr := NewProgramReader(&synthLog{block: block, reps: reps}, "bench")
-		for pr.NextBatch(batch) > 0 {
-		}
-		if err := pr.Err(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -298,38 +298,6 @@ func TestBranchPredictorReset(t *testing.T) {
 	}
 }
 
-func BenchmarkCacheAccess(b *testing.B) {
-	c, err := NewCache(CacheConfig{Name: "b", SizeB: 32 << 10, LineB: 64, Ways: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(src.Intn(1 << 22))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Access(addrs[i&4095])
-	}
-}
-
-func BenchmarkTLBTranslate(b *testing.B) {
-	tlb, err := NewTLB(DefaultTLBConfig())
-	if err != nil {
-		b.Fatal(err)
-	}
-	src := rng.New(1)
-	addrs := make([]uint64, 4096)
-	for i := range addrs {
-		addrs[i] = uint64(src.Intn(1 << 30))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tlb.Translate(addrs[i&4095])
-	}
-}
-
 func BenchmarkBranchPredict(b *testing.B) {
 	bp, err := NewBranchPredictor(14, 12)
 	if err != nil {

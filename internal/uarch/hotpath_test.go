@@ -1,7 +1,6 @@
 package uarch
 
 import (
-	"sync"
 	"testing"
 
 	"perspector/internal/rng"
@@ -78,125 +77,5 @@ func TestPageBitmap(t *testing.T) {
 		if b.testAndSet(p) {
 			t.Fatalf("page %#x survived reset", p)
 		}
-	}
-}
-
-// TestPoolReuseIsDeterministic checks the pooling contract: a machine
-// dirtied by one workload and recycled through the pool measures exactly
-// like a freshly built one.
-func TestPoolReuseIsDeterministic(t *testing.T) {
-	cfg := DefaultMachineConfig()
-	cfg.SampleInterval = 500
-
-	fresh, err := NewMachine(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := fresh.Run(newStrideProg(5000), 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var pool MachinePool
-	dirty, err := pool.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := dirty.Run(newStrideProg(3000), 3000); err != nil {
-		t.Fatal(err)
-	}
-	pool.Put(dirty)
-
-	recycled, err := pool.Get(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if recycled != dirty {
-		t.Fatal("pool did not hand back the recycled machine")
-	}
-	got, err := recycled.Run(newStrideProg(5000), 5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Totals != want.Totals {
-		t.Fatalf("recycled machine diverges from fresh:\nfresh:    %v\nrecycled: %v", want.Totals, got.Totals)
-	}
-}
-
-// TestPoolConcurrentGetPut hammers the pool from many goroutines; run
-// under -race this doubles as the pool's synchronization test.
-func TestPoolConcurrentGetPut(t *testing.T) {
-	cfg := DefaultMachineConfig()
-	cfg.L3.SizeB = 64 << 10 // keep per-machine state small for the test
-	var pool MachinePool
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				m, err := pool.Get(cfg)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if _, err := m.Run(newStrideProg(200), 200); err != nil {
-					t.Error(err)
-					return
-				}
-				pool.Put(m)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// strideProg is a minimal deterministic program for machine-level tests
-// and benchmarks: a fixed repeating kind pattern with striding loads and
-// alternating branches, no RNG in the emission path.
-type strideProg struct {
-	n, limit uint64
-}
-
-func newStrideProg(limit uint64) *strideProg { return &strideProg{limit: limit} }
-
-func (p *strideProg) Name() string { return "stride" }
-
-func (p *strideProg) Next(in *Instr) bool {
-	if p.n >= p.limit {
-		return false
-	}
-	i := p.n
-	p.n++
-	switch i % 8 {
-	case 0, 3:
-		*in = Instr{Kind: Load, Addr: i * 24}
-	case 5:
-		*in = Instr{Kind: Store, Addr: i * 40}
-	case 6:
-		*in = Instr{Kind: Branch, PC: 0x400000 + i%32*4, Taken: i%3 != 0}
-	default:
-		*in = Instr{Kind: ALU}
-	}
-	return true
-}
-
-func (p *strideProg) Reset() { p.n = 0 }
-
-// BenchmarkMachineStep measures the per-instruction cost of the machine's
-// execution loop itself — dispatch, cache/TLB lookups, PMU accounting —
-// with a deterministic generator whose own cost is a few ALU operations.
-// Reported together with BenchmarkCacheAccess and BenchmarkTLBTranslate
-// in BENCH_simulator.json to localize regressions below the suite level.
-func BenchmarkMachineStep(b *testing.B) {
-	cfg := DefaultMachineConfig()
-	m, err := NewMachine(cfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := uint64(b.N)
-	b.ResetTimer()
-	if _, err := m.Run(newStrideProg(n), n); err != nil {
-		b.Fatal(err)
 	}
 }
