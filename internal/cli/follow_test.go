@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -155,9 +156,11 @@ func TestFollowScoresStatSkip(t *testing.T) {
 		parses++
 		return cloneFollowSuite(base), nil
 	}
-	statCalls := 0
+	// FollowScores calls stat on its own goroutine while the wait loop
+	// below reads the count, so the count is atomic.
+	var statCalls atomic.Int64
 	stat := func() (string, error) {
-		statCalls++
+		statCalls.Add(1)
 		return "constant", nil
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -170,7 +173,7 @@ func TestFollowScoresStatSkip(t *testing.T) {
 		})
 	}()
 	deadline := time.Now().Add(10 * time.Second)
-	for statCalls < 5 && time.Now().Before(deadline) {
+	for statCalls.Load() < 5 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()

@@ -24,14 +24,15 @@ const staleVer = ^uint64(0)
 // and hands the cached value to every metric that follows.
 //
 // Artifacts also supports *append*: IncrementalRun grows a measurement
-// workload-by-workload (or chunk-by-chunk within a workload) and the
-// cached intermediates grow with it instead of being rebuilt —
-// normalization bounds extend online, the distance matrix gains one
-// row/column, and the pairwise-DTW cache recomputes only pairs touching
-// a changed series. Whenever a cheap update cannot be proven
-// bit-identical to a fresh batch computation (a normalization bound
-// moved), the affected cache is dropped wholesale and the next access
-// recomputes it with the exact batch code path.
+// workload-by-workload (or chunk-by-chunk within a workload). Only the
+// time-series caches update in place — the per-workload normalized
+// series and the pairwise-DTW matrix recompute just the entries touching
+// a changed series. Everything derived from the counter totals (the raw
+// and own-normalized matrices, the distance matrix) is dropped on any
+// totals change and rebuilt lazily by the batch code: a totals change
+// reruns the k-means sweep anyway, next to which those rebuilds are
+// free, and one code path keeps the results bit-identical by
+// construction.
 //
 // An Artifacts value is not safe for concurrent use: the engine runs the
 // registry's metrics serially per suite (suites fan out, metrics do not),
@@ -52,12 +53,7 @@ type Artifacts struct {
 
 	raw     *mat.Matrix
 	ownNorm *mat.Matrix
-	// colMin/colMax are the per-column bounds backing ownNorm; valid iff
-	// ownNorm != nil. Appends consult them to decide between extending
-	// the normalized matrix (bounds unmoved: every cached entry is
-	// already what a batch recompute would produce) and dropping it.
-	colMin, colMax []float64
-	dist           [][]float64
+	dist    [][]float64
 
 	// seriesVer[i] counts sample appends to workload i's series; the
 	// per-counter caches below record the version they were computed at
@@ -131,7 +127,7 @@ func (a *Artifacts) memoStore(name string, key memoKey, v float64) {
 }
 
 // bumpJointVersion marks JointNorm's content as changed; the engine
-// calls it whenever it rewrites any entry of the matrix.
+// calls it whenever it replaces the matrix with one that differs.
 func (a *Artifacts) bumpJointVersion() { a.jointVer++ }
 
 // seriesCache is the per-counter normalized-series cache: norm[i] is
@@ -181,20 +177,7 @@ func (a *Artifacts) Raw() *mat.Matrix {
 // ClusterScore (§III-A), as opposed to the cross-suite JointNorm.
 func (a *Artifacts) OwnNorm() *mat.Matrix {
 	if a.ownNorm == nil {
-		x := a.Raw()
-		a.ownNorm = normalizeColumns(x)
-		// Record the bounds the normalization used so appends can tell
-		// whether a new row moves them.
-		m := x.Cols()
-		a.colMin = make([]float64, m)
-		a.colMax = make([]float64, m)
-		for j := 0; j < m; j++ {
-			if x.Rows() == 0 {
-				a.colMin[j], a.colMax[j] = 0, 0
-				continue
-			}
-			a.colMin[j], a.colMax[j] = stat.MinMax(x.Col(j))
-		}
+		a.ownNorm = normalizeColumns(a.Raw())
 	}
 	return a.ownNorm
 }
@@ -365,79 +348,24 @@ func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64
 	return pc.d, nil
 }
 
-// appendWorkload appends one workload measurement and grows the cached
-// intermediates. If the new row moves any own-normalization bound the
-// normalized matrix and distance matrix are dropped (the batch path
-// rebuilds them bit-identically on next access); otherwise both grow by
-// one row/column, the distance column computed in parallel over the
-// existing rows.
+// appendWorkload appends one workload measurement. The new row changes
+// the counter matrix and the series set; the series caches grow on their
+// next access.
 func (a *Artifacts) appendWorkload(m perf.Measurement) {
-	idx := len(a.Meas.Workloads)
 	a.Meas.Workloads = append(a.Meas.Workloads, m)
-	// A new row changes both the counter matrix and the series set.
-	a.totalsVer++
 	a.seriesEpoch++
-	for len(a.seriesVer) < len(a.Meas.Workloads) {
-		a.seriesVer = append(a.seriesVer, 0)
-	}
-	row := m.Totals.Vector(a.Opts.Counters)
-	if a.raw != nil {
-		if a.raw.Rows() == 0 {
-			// A raw matrix cached while the measurement was still empty is
-			// 0×0 and cannot grow a row; drop it and rebuild lazily.
-			a.raw = nil
-		} else {
-			a.raw = appendRowMatrix(a.raw, row)
-		}
-	}
-	if a.ownNorm == nil {
-		return
-	}
-	moved := false
-	for j, v := range row {
-		if v < a.colMin[j] || v > a.colMax[j] {
-			moved = true
-			break
-		}
-	}
-	if a.Raw().Rows() == 1 {
-		// First row ever: normalizeColumns would produce a zero row (span
-		// 0) whatever the bounds say; the cached empty matrices carry no
-		// information worth growing.
-		moved = true
-	}
-	if moved {
-		a.invalidateNorm()
-		return
-	}
-	nrow := make([]float64, len(row))
-	for j, v := range row {
-		span := a.colMax[j] - a.colMin[j]
-		if span != 0 {
-			nrow[j] = (v - a.colMin[j]) / span
-		}
-	}
-	a.ownNorm = appendRowMatrix(a.ownNorm, nrow)
-	if a.dist != nil {
-		a.growDistRow(idx)
-	}
+	a.totalsChanged()
 }
 
 // appendSamples extends workload idx in place: delta accumulates into
 // the counter totals and samples (if any) append to the time series.
-// Totals updates may *shrink* a column bound (the old value could have
-// been the extremum), so bounds are recomputed exactly by rescanning the
-// column; unmoved bounds keep every cached row but idx valid.
 func (a *Artifacts) appendSamples(idx int, delta perf.Values, samples *perf.TimeSeries) {
 	w := &a.Meas.Workloads[idx]
-	totalsChanged := delta != (perf.Values{})
-	if totalsChanged {
-		a.totalsVer++
-		for c := perf.Counter(0); c < perf.NumCounters; c++ {
-			if d := delta.Get(c); d != 0 {
-				w.Totals.Add(c, d)
-			}
+	if delta != (perf.Values{}) {
+		for c, d := range delta {
+			w.Totals[c] += d
 		}
+		a.totalsChanged()
 	}
 	if samples != nil && samples.Len() > 0 {
 		if w.Series.Len() == 0 {
@@ -448,90 +376,14 @@ func (a *Artifacts) appendSamples(idx int, delta perf.Values, samples *perf.Time
 		}
 		a.bumpSeriesVersion(idx)
 	}
-	if !totalsChanged {
-		return
-	}
-	row := w.Totals.Vector(a.Opts.Counters)
-	if a.raw != nil {
-		a.raw.SetRow(idx, row)
-	}
-	if a.ownNorm == nil {
-		return
-	}
-	x := a.Raw()
-	moved := false
-	for j := 0; j < x.Cols(); j++ {
-		lo, hi := stat.MinMax(x.Col(j))
-		if lo != a.colMin[j] || hi != a.colMax[j] {
-			moved = true
-			break
-		}
-	}
-	if moved {
-		a.invalidateNorm()
-		return
-	}
-	nrow := make([]float64, len(row))
-	for j, v := range row {
-		span := a.colMax[j] - a.colMin[j]
-		if span != 0 {
-			nrow[j] = (v - a.colMin[j]) / span
-		}
-	}
-	a.ownNorm.SetRow(idx, nrow)
-	if a.dist != nil {
-		a.updateDistRow(idx)
-	}
 }
 
-// invalidateNorm drops the own-normalization-derived caches; the next
-// access rebuilds them through the exact batch code path.
-func (a *Artifacts) invalidateNorm() {
-	a.ownNorm = nil
-	a.colMin, a.colMax = nil, nil
-	a.dist = nil
-}
-
-// growDistRow extends the cached distance matrix with row/column idx
-// (the just-appended last row of ownNorm), computing only the n-1 new
-// distances — in parallel over the existing rows, mirroring
-// cluster.DistanceMatrix's mat.Dist(i, j) with i < j.
-func (a *Artifacts) growDistRow(idx int) {
-	x := a.ownNorm
-	n := x.Rows()
-	nd := make([][]float64, n)
-	last := make([]float64, n)
-	par.Do(idx, func(_, i int) {
-		r := make([]float64, n)
-		copy(r, a.dist[i])
-		d := mat.Dist(x.RowView(i), x.RowView(idx))
-		r[idx] = d
-		nd[i] = r
-		last[i] = d
-	})
-	nd[idx] = last
-	a.dist = nd
-}
-
-// updateDistRow recomputes row/column idx of the cached distance matrix
-// after workload idx's normalized row changed in place.
-func (a *Artifacts) updateDistRow(idx int) {
-	x := a.ownNorm
-	n := x.Rows()
-	par.Do(n, func(_, i int) {
-		if i == idx {
-			a.dist[idx][idx] = 0
-			return
-		}
-		var d float64
-		if i < idx {
-			d = mat.Dist(x.RowView(i), x.RowView(idx))
-		} else {
-			d = mat.Dist(x.RowView(idx), x.RowView(i))
-		}
-		a.dist[i][idx] = d
-		a.dist[idx][i] = d
-	})
+// totalsChanged records a change to the counter matrix and drops every
+// intermediate derived from it; the next access rebuilds each through
+// the batch code path.
+func (a *Artifacts) totalsChanged() {
+	a.totalsVer++
+	a.raw, a.ownNorm, a.dist = nil, nil, nil
 }
 
 // ensureScratch grows the per-worker DTW scratch table to at least n
@@ -560,16 +412,6 @@ func (a *Artifacts) distancer(w int) *dtw.Distancer {
 		a.scratch[w] = dtw.NewDistancer()
 	}
 	return a.scratch[w]
-}
-
-// appendRowMatrix returns a new matrix with row appended to x.
-func appendRowMatrix(x *mat.Matrix, row []float64) *mat.Matrix {
-	out := mat.New(x.Rows()+1, x.Cols())
-	for i := 0; i < x.Rows(); i++ {
-		out.SetRow(i, x.RowView(i))
-	}
-	out.SetRow(x.Rows(), row)
-	return out
 }
 
 // normalizeColumns min-max normalizes each column of x into [0,1] using

@@ -3,24 +3,24 @@ package metric
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"perspector/internal/mat"
 	"perspector/internal/obs"
-	"perspector/internal/par"
 	"perspector/internal/perf"
 	"perspector/internal/stage"
 )
 
 // IncrementalRun is a scoring run whose measurements grow over time: new
 // workloads append, existing workloads receive counter/series chunks,
-// and every Scores call re-scores the current state by *updating* the
-// cached artifacts rather than rebuilding them — online normalization
-// bounds, one-row distance-matrix growth, windowed pairwise-DTW updates,
-// and incremental joint-norm propagation across the suites of a compare
-// run. The batch path (ScoreSuites over the same measurements) is the
-// exact-recompute fallback and the golden oracle: every Scores result is
-// bit-identical to a fresh batch run of the accumulated data.
+// and every Scores call re-scores the current state. Incremental work is
+// kept where it pays: the per-workload normalized series and the
+// pairwise-DTW matrices update only the entries a changed series
+// touches, and a metric whose inputs did not change is served from its
+// memo. Everything derived from the counter totals — the own-normalized
+// and distance matrices and the Eq. 9–10 joint normalization — is
+// rebuilt by the batch code on any totals change, so every Scores result
+// is bit-identical to a fresh batch run (ScoreSuites over the same
+// measurements, the golden oracle) by construction.
 //
 // An IncrementalRun is not safe for concurrent use; callers serialize
 // appends and scoring (the jobs stream layer runs one goroutine per
@@ -30,16 +30,10 @@ type IncrementalRun struct {
 	reg  *Registry
 	arts []*Artifacts
 
-	needJoint  bool
-	jointBuilt bool
-	jointMin   []float64
-	jointMax   []float64
-	// newRows / updatedRows track the matrix rows touched since the last
-	// joint-norm update, per suite. New rows only *extend* the joint
-	// bounds; updated rows can shrink them (the old value may have been
-	// the extremum), which forces an exact bound rescan.
-	newRows     [][]int
-	updatedRows []map[int]bool
+	needJoint bool
+	// jointAt[i] is suite i's totalsVer when the joint normalization was
+	// last computed (staleVer before the first success).
+	jointAt []uint64
 }
 
 // NewIncrementalRun starts an incremental scoring run over the given
@@ -56,19 +50,15 @@ func NewIncrementalRun(sms []*perf.SuiteMeasurement, opts Options, reg *Registry
 		reg = DefaultRegistry()
 	}
 	r := &IncrementalRun{
-		opts:        opts,
-		reg:         reg,
-		arts:        make([]*Artifacts, len(sms)),
-		needJoint:   reg.needs(func(c Capabilities) bool { return c.NeedsJointNorm }),
-		newRows:     make([][]int, len(sms)),
-		updatedRows: make([]map[int]bool, len(sms)),
+		opts:      opts,
+		reg:       reg,
+		arts:      make([]*Artifacts, len(sms)),
+		needJoint: reg.needs(func(c Capabilities) bool { return c.NeedsJointNorm }),
+		jointAt:   make([]uint64, len(sms)),
 	}
 	for i, sm := range sms {
 		r.arts[i] = NewArtifacts(sm, opts)
-		r.updatedRows[i] = make(map[int]bool)
-		for w := range sm.Workloads {
-			r.newRows[i] = append(r.newRows[i], w)
-		}
+		r.jointAt[i] = staleVer
 	}
 	return r, nil
 }
@@ -95,16 +85,13 @@ func (r *IncrementalRun) WorkloadIndex(suite int, name string) int {
 }
 
 // AppendWorkload appends a new workload measurement to suite i. The
-// run's cached artifacts grow in place; the next Scores call pays only
-// the delta cost of the new row.
+// next Scores call computes DTW pairs only for the new workload's
+// series.
 func (r *IncrementalRun) AppendWorkload(suite int, m perf.Measurement) error {
 	if suite < 0 || suite >= len(r.arts) {
 		return fmt.Errorf("metric: AppendWorkload: suite index %d out of range [0,%d)", suite, len(r.arts))
 	}
-	a := r.arts[suite]
-	idx := len(a.Meas.Workloads)
-	a.appendWorkload(m)
-	r.newRows[suite] = append(r.newRows[suite], idx)
+	r.arts[suite].appendWorkload(m)
 	return nil
 }
 
@@ -120,17 +107,13 @@ func (r *IncrementalRun) AppendSamples(suite int, workload string, delta perf.Va
 		return fmt.Errorf("metric: AppendSamples: suite %q has no workload %q",
 			r.arts[suite].Meas.Suite, workload)
 	}
-	a := r.arts[suite]
-	a.appendSamples(idx, delta, series)
-	if delta != (perf.Values{}) {
-		r.updatedRows[suite][idx] = true
-	}
+	r.arts[suite].appendSamples(idx, delta, series)
 	return nil
 }
 
 // Scores re-scores the current accumulated state. The result is
-// bit-identical to ScoreSuites over the same measurements; only the
-// artifacts touched by appends since the last call are recomputed.
+// bit-identical to ScoreSuites over the same measurements; metrics whose
+// inputs no append has touched since the last call are not recomputed.
 func (r *IncrementalRun) Scores(ctx context.Context) ([]Scores, error) {
 	runStage := stage.Compare
 	if len(r.arts) == 1 {
@@ -144,178 +127,39 @@ func (r *IncrementalRun) Scores(ctx context.Context) ([]Scores, error) {
 			return nil, stage.Wrap(runStage, "", "", err)
 		}
 	}
-	for i := range r.arts {
-		r.newRows[i] = r.newRows[i][:0]
-		for k := range r.updatedRows[i] {
-			delete(r.updatedRows[i], k)
-		}
-	}
 	return scoreArtifacts(ctx, r.arts, r.reg, runStage)
 }
 
-// updateJoint maintains the Eq. 9–10 joint normalization across the
-// run's suites. The first call computes it exactly as the batch path
-// does; later calls extend the global bounds with the appended rows and
-// re-normalize only moved columns everywhere (plus all columns of the
-// appended/updated rows), so an append to one suite costs O(rows·moved
-// columns) across the run instead of a full rebuild.
+// updateJoint keeps the Eq. 9–10 joint normalization current. When any
+// suite's counter matrix changed since the last call it re-runs
+// JointNormalize over every suite, exactly as the batch path does. A
+// suite's JointNorm is replaced, and its version bumped, only when the
+// new matrix differs: an append that moved no joint bound leaves the
+// other suites' Coverage and Spread memoized.
 func (r *IncrementalRun) updateJoint() error {
+	stale := false
+	for i, a := range r.arts {
+		if r.jointAt[i] != a.totalsVer {
+			stale = true
+		}
+	}
+	if !stale {
+		return nil
+	}
 	raws := make([]*mat.Matrix, len(r.arts))
 	for i, a := range r.arts {
 		raws[i] = a.Raw()
 	}
-	if !r.jointBuilt {
-		mins, maxs, err := jointBounds(raws)
-		if err != nil {
-			return err
-		}
-		normed := applyJointNorm(raws, mins, maxs)
-		for i, a := range r.arts {
+	normed, err := JointNormalize(raws)
+	if err != nil {
+		return err
+	}
+	for i, a := range r.arts {
+		if a.JointNorm == nil || !a.JointNorm.Equal(normed[i], 0) {
 			a.JointNorm = normed[i]
 			a.bumpJointVersion()
 		}
-		r.jointMin, r.jointMax = mins, maxs
-		r.jointBuilt = true
-		return nil
+		r.jointAt[i] = a.totalsVer
 	}
-	anyPending := false
-	anyUpdated := false
-	for i := range r.arts {
-		if len(r.newRows[i]) > 0 {
-			anyPending = true
-		}
-		if len(r.updatedRows[i]) > 0 {
-			anyPending = true
-			anyUpdated = true
-		}
-	}
-	if !anyPending {
-		return nil
-	}
-	m := len(r.jointMin)
-	newMin := make([]float64, m)
-	newMax := make([]float64, m)
-	if anyUpdated {
-		// An updated row can shrink a bound (its old value may have been
-		// the extremum); recompute the bounds exactly. The scan is
-		// O(total rows · m) over floats already in cache — trivial next
-		// to one DTW pair.
-		mins, maxs, err := jointBounds(raws)
-		if err != nil {
-			return err
-		}
-		copy(newMin, mins)
-		copy(newMax, maxs)
-	} else {
-		copy(newMin, r.jointMin)
-		copy(newMax, r.jointMax)
-		for i, a := range r.arts {
-			x := a.Raw()
-			for _, w := range r.newRows[i] {
-				row := x.RowView(w)
-				for j, v := range row {
-					if v < newMin[j] {
-						newMin[j] = v
-					}
-					if v > newMax[j] {
-						newMax[j] = v
-					}
-				}
-			}
-		}
-	}
-	moved := make([]bool, m)
-	anyMoved := false
-	for j := 0; j < m; j++ {
-		if newMin[j] != r.jointMin[j] || newMax[j] != r.jointMax[j] {
-			moved[j] = true
-			anyMoved = true
-		}
-	}
-	// Re-normalize: moved columns everywhere; unmoved columns only for
-	// the appended/updated rows of each suite. Suites fan out — each
-	// task writes only its own JointNorm.
-	par.Do(len(r.arts), func(_, k int) {
-		a := r.arts[k]
-		x := raws[k]
-		touched := touchedRows(r.newRows[k], r.updatedRows[k])
-		if a.JointNorm == nil || (!anyMoved && len(touched) == 0) {
-			if a.JointNorm == nil {
-				a.JointNorm = applyJointNorm([]*mat.Matrix{x}, newMin, newMax)[0]
-				a.bumpJointVersion()
-			}
-			// Otherwise no bound moved and no row of this suite changed:
-			// JointNorm is untouched and its version must not move, so
-			// metrics keyed on it stay memoized.
-			return
-		}
-		grown := a.JointNorm
-		if grown.Rows() != x.Rows() {
-			ng := mat.New(x.Rows(), m)
-			for i := 0; i < grown.Rows(); i++ {
-				ng.SetRow(i, grown.RowView(i))
-			}
-			grown = ng
-		}
-		for j := 0; j < m; j++ {
-			if !moved[j] && len(touched) == 0 {
-				continue
-			}
-			span := newMax[j] - newMin[j]
-			if moved[j] {
-				for i := 0; i < x.Rows(); i++ {
-					grown.Set(i, j, normJointElem(x.At(i, j), newMin[j], span))
-				}
-				continue
-			}
-			for _, i := range touched {
-				grown.Set(i, j, normJointElem(x.At(i, j), newMin[j], span))
-			}
-		}
-		a.JointNorm = grown
-		a.bumpJointVersion()
-	})
-	r.jointMin, r.jointMax = newMin, newMax
 	return nil
-}
-
-// normJointElem is the per-element form of stat.NormalizeWith: scale
-// into [0,1] with external bounds, clamped, degenerate span to 0. Kept
-// in exact arithmetic lockstep with NormalizeWith so incremental entries
-// are bit-identical to a batch JointNormalize.
-func normJointElem(x, min, span float64) float64 {
-	if span == 0 {
-		return 0
-	}
-	v := (x - min) / span
-	if v < 0 {
-		v = 0
-	} else if v > 1 {
-		v = 1
-	}
-	return v
-}
-
-// touchedRows merges the appended and updated row indices of one suite
-// in ascending order.
-func touchedRows(newRows []int, updated map[int]bool) []int {
-	if len(newRows) == 0 && len(updated) == 0 {
-		return nil
-	}
-	seen := make(map[int]bool, len(newRows)+len(updated))
-	var out []int
-	for _, w := range newRows {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	for w := range updated {
-		if !seen[w] {
-			seen[w] = true
-			out = append(out, w)
-		}
-	}
-	sort.Ints(out)
-	return out
 }

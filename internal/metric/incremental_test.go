@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strconv"
+	"sync"
 	"testing"
 
 	"perspector/internal/par"
@@ -417,4 +418,148 @@ func TestIncrementalGrowFromEmpty(t *testing.T) {
 		}
 		verifyAgainstOracle(t, ctx, run, fmt.Sprintf("after r%d", i))
 	}
+}
+
+// countingMetric wraps a metric and counts its computations per suite,
+// keyed "suite/metric".
+type countingMetric struct {
+	Metric
+	mu     *sync.Mutex
+	counts map[string]int
+}
+
+func (m countingMetric) Compute(ctx context.Context, a *Artifacts) (float64, error) {
+	m.mu.Lock()
+	m.counts[a.Meas.Suite+"/"+m.Name()]++
+	m.mu.Unlock()
+	return m.Metric.Compute(ctx, a)
+}
+
+// TestIncrementalMemoSkipsUnchangedMetrics pins the per-metric memo
+// contract: after each append, exactly the metrics whose inputs changed
+// are recomputed. A samples-only chunk touches only the trend; a totals
+// delta inside the joint bounds touches only its own suite; a delta that
+// moves the joint bounds also recomputes the other suite's Coverage and
+// Spread, but not its Cluster or Trend.
+func TestIncrementalMemoSkipsUnchangedMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("measures two stock suites")
+	}
+	ctx := context.Background()
+	sms := stockMeasurements(t, []string{"nbench", "lmbench"}, 6)
+	opts := incrementalTestOptions()
+
+	var mu sync.Mutex
+	counts := make(map[string]int)
+	var ms []Metric
+	for _, m := range DefaultRegistry().Metrics() {
+		ms = append(ms, countingMetric{Metric: m, mu: &mu, counts: counts})
+	}
+	reg, err := NewRegistry(ms...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := NewIncrementalRun(sms, opts, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// step scores the run, checks the computations since the last step
+	// against want (absent keys must not have been computed), and checks
+	// the scores against an uncounted batch run.
+	prev := make(map[string]int)
+	step := func(label string, want map[string]int) {
+		t.Helper()
+		got, err := run.Scores(ctx)
+		if err != nil {
+			t.Fatalf("%s: %v", label, err)
+		}
+		for k, n := range counts {
+			if d := n - prev[k]; d != want[k] {
+				t.Errorf("%s: %s computed %d times, want %d", label, k, d, want[k])
+			}
+			prev[k] = n
+		}
+		for k, n := range want {
+			if _, ok := counts[k]; !ok && n != 0 {
+				t.Errorf("%s: %s never computed, want %d", label, k, n)
+			}
+		}
+		batch := make([]*perf.SuiteMeasurement, run.Suites())
+		for i := range batch {
+			batch[i] = cloneSuite(run.Measurement(i))
+		}
+		batchScores, err := ScoreSuites(ctx, batch, opts, nil)
+		if err != nil {
+			t.Fatalf("%s: batch: %v", label, err)
+		}
+		for i := range got {
+			if got[i] != batchScores[i] {
+				t.Fatalf("%s: suite %q diverged from batch: %+v vs %+v", label, got[i].Suite, got[i], batchScores[i])
+			}
+		}
+	}
+	all := func(suite string) map[string]int {
+		return map[string]int{
+			suite + "/cluster": 1, suite + "/trend": 1,
+			suite + "/coverage": 1, suite + "/spread": 1,
+		}
+	}
+	first := all("nbench")
+	for k, v := range all("lmbench") {
+		first[k] = v
+	}
+	step("initial", first)
+
+	nb := run.Measurement(0)
+	w0 := &nb.Workloads[0]
+	chunk := &perf.TimeSeries{Interval: w0.Series.Interval}
+	for c := range chunk.Samples {
+		chunk.Samples[c] = append([]float64(nil), w0.Series.Samples[c][:3]...)
+	}
+	if err := run.AppendSamples(0, w0.Workload, perf.Values{}, chunk); err != nil {
+		t.Fatal(err)
+	}
+	step("samples only", map[string]int{"nbench/trend": 1})
+
+	// A +1 on a value strictly inside the joint bounds of its counter
+	// leaves every JointNorm entry of lmbench unchanged.
+	idx, ctr := -1, perf.Counter(0)
+	for _, c := range opts.Counters {
+		lo, hi := uint64(1<<63), uint64(0)
+		for _, sm := range []*perf.SuiteMeasurement{nb, run.Measurement(1)} {
+			for i := range sm.Workloads {
+				v := sm.Workloads[i].Totals.Get(c)
+				lo, hi = min(lo, v), max(hi, v)
+			}
+		}
+		for i := range nb.Workloads {
+			if v := nb.Workloads[i].Totals.Get(c); v > lo && v+1 < hi {
+				idx, ctr = i, c
+				break
+			}
+		}
+		if idx >= 0 {
+			break
+		}
+	}
+	if idx < 0 {
+		t.Fatal("no nbench counter value strictly inside its joint bounds")
+	}
+	var delta perf.Values
+	delta[ctr] = 1
+	if err := run.AppendSamples(0, nb.Workloads[idx].Workload, delta, nil); err != nil {
+		t.Fatal(err)
+	}
+	step("interior totals delta", all("nbench"))
+
+	for c := range delta {
+		delta[c] = 1 << 40
+	}
+	if err := run.AppendSamples(0, w0.Workload, delta, nil); err != nil {
+		t.Fatal(err)
+	}
+	moved := all("nbench")
+	moved["lmbench/coverage"] = 1
+	moved["lmbench/spread"] = 1
+	step("bound-moving totals delta", moved)
 }

@@ -1,8 +1,7 @@
 // Package source abstracts where suite measurements come from. The
 // scoring engine (internal/metric) only needs a *perf.SuiteMeasurement;
-// whether it was simulated single-core, simulated as rate-style process
-// clones on a multicore, or read back from an archived trace file is a
-// Source implementation detail. The Caching decorator adds the
+// whether it was simulated or read back from an archived trace file is
+// a Source implementation detail. The Caching decorator adds the
 // content-addressed on-disk cache around any measuring source — wiring
 // that both CLIs previously duplicated by hand.
 //
@@ -14,8 +13,6 @@ package source
 import (
 	"bufio"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"os"
 
@@ -59,28 +56,6 @@ func (src Simulator) Measure(ctx context.Context, s suites.Suite) (*perf.SuiteMe
 // and machine configuration.
 func (src Simulator) Key(s suites.Suite) string {
 	return cache.Key(s, src.Cfg)
-}
-
-// Multicore measures suites as Threads homologous process clones per
-// workload on a shared-L3 multicore machine (the rate-style setup).
-type Multicore struct {
-	Cfg     suites.Config
-	Threads int
-}
-
-// Measure runs every workload of s as Threads clones with aggregated
-// counters.
-func (src Multicore) Measure(ctx context.Context, s suites.Suite) (*perf.SuiteMeasurement, error) {
-	return suites.RunMulticoreContext(ctx, s, src.Cfg, src.Threads)
-}
-
-// Key extends the single-core content-address with the thread count, so
-// multicore measurements never collide with single-core ones (or with a
-// different thread count) in a shared cache directory.
-func (src Multicore) Key(s suites.Suite) string {
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\nmulticore-threads=%d\n", cache.Key(s, src.Cfg), src.Threads)
-	return hex.EncodeToString(h.Sum(nil))
 }
 
 // TraceFile loads a previously exported measurement from disk instead of
