@@ -258,7 +258,7 @@ func incrAppend(b *testing.B, withTotals bool) {
 }
 
 // MachineStep measures the per-instruction cost of the machine's
-// execution loop itself — dispatch, cache/TLB lookups, PMU accounting —
+// execution loop itself — block fetch, cache/TLB lookups, PMU accounting —
 // with a deterministic generator whose own cost is a few ALU operations.
 // One op is one instruction.
 func MachineStep(b *testing.B) {
@@ -324,23 +324,24 @@ func NewStrideProg(limit uint64) *StrideProg { return &StrideProg{limit: limit} 
 
 func (p *StrideProg) Name() string { return "stride" }
 
-func (p *StrideProg) Next(in *uarch.Instr) bool {
-	if p.n >= p.limit {
-		return false
+// NextBatch implements uarch.Program.
+func (p *StrideProg) NextBatch(dst []uarch.Instr) int {
+	if rem := p.limit - p.n; rem < uint64(len(dst)) {
+		dst = dst[:rem]
 	}
-	i := p.n
-	p.n++
-	switch i % 8 {
-	case 0, 3:
-		*in = uarch.Instr{Kind: uarch.Load, Addr: i * 24}
-	case 5:
-		*in = uarch.Instr{Kind: uarch.Store, Addr: i * 40}
-	case 6:
-		*in = uarch.Instr{Kind: uarch.Branch, PC: 0x400000 + i%32*4, Taken: i%3 != 0}
-	default:
-		*in = uarch.Instr{Kind: uarch.ALU}
+	for k := range dst {
+		i := p.n + uint64(k)
+		switch i % 8 {
+		case 0, 3:
+			dst[k] = uarch.Instr{Kind: uarch.Load, Addr: i * 24}
+		case 5:
+			dst[k] = uarch.Instr{Kind: uarch.Store, Addr: i * 40}
+		case 6:
+			dst[k] = uarch.Instr{Kind: uarch.Branch, PC: 0x400000 + i%32*4, Taken: i%3 != 0}
+		default:
+			dst[k] = uarch.Instr{Kind: uarch.ALU}
+		}
 	}
-	return true
+	p.n += uint64(len(dst))
+	return len(dst)
 }
-
-func (p *StrideProg) Reset() { p.n = 0 }

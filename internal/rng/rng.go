@@ -154,19 +154,6 @@ func (s *Source) Norm(mean, stddev float64) float64 {
 	return mean + stddev*u*f
 }
 
-// Exp returns an exponential deviate with the given rate parameter.
-func (s *Source) Exp(rate float64) float64 {
-	if rate <= 0 {
-		panic("rng: Exp with non-positive rate")
-	}
-	u := s.Float64()
-	// Guard against log(0).
-	if u >= 1 {
-		u = math.Nextafter(1, 0)
-	}
-	return -math.Log(1-u) / rate
-}
-
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
 	return s.Float64() < p
@@ -217,14 +204,6 @@ func (s *Source) Cycle(p []uint32) {
 		p[i], p[hi] = p[hi], p[i]
 	}
 	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
-}
-
-// Shuffle randomly permutes the first n elements using the provided swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // Zipf samples integers in [0, n) with probability proportional to

@@ -3,7 +3,6 @@ package rng
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestDeterminism(t *testing.T) {
@@ -115,31 +114,6 @@ func TestNormMoments(t *testing.T) {
 	}
 }
 
-func TestExpMean(t *testing.T) {
-	s := New(17)
-	const n = 200000
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		v := s.Exp(2)
-		if v < 0 {
-			t.Fatalf("Exp returned negative value %v", v)
-		}
-		sum += v
-	}
-	if mean := sum / n; math.Abs(mean-0.5) > 0.01 {
-		t.Fatalf("Exp(2) mean = %v, want ~0.5", mean)
-	}
-}
-
-func TestExpPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Exp(0) did not panic")
-		}
-	}()
-	New(1).Exp(0)
-}
-
 func TestPermIsPermutation(t *testing.T) {
 	s := New(19)
 	for _, n := range []int{0, 1, 2, 10, 100} {
@@ -154,28 +128,6 @@ func TestPermIsPermutation(t *testing.T) {
 			}
 			seen[v] = true
 		}
-	}
-}
-
-func TestShuffleProperty(t *testing.T) {
-	f := func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw%50) + 1
-		vals := make([]int, n)
-		for i := range vals {
-			vals[i] = i
-		}
-		New(seed).Shuffle(n, func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
-		seen := make([]bool, n)
-		for _, v := range vals {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -8,21 +8,15 @@ import (
 	"perspector/internal/workload"
 )
 
-// legacyProgram wraps a compiled workload but hides its NextBatch method,
-// forcing the machine onto the per-instruction Next fallback path.
-type legacyProgram struct {
-	p uarch.Program
-}
-
-func (l *legacyProgram) Name() string              { return l.p.Name() }
-func (l *legacyProgram) Next(in *uarch.Instr) bool { return l.p.Next(in) }
-func (l *legacyProgram) Reset()                    { l.p.Reset() }
-
-// TestBatchedPathMatchesLegacyNext pins the tentpole equivalence claim:
-// for every workload of all six suites, the batched NextBatch execution
-// path produces totals AND sampled series bit-identical to the legacy
-// one-instruction-at-a-time path. Budgets are reduced so the whole matrix
-// stays fast; the golden tests cover full-budget values separately.
+// TestBatchedPathMatchesLegacyNext pins Machine.RunContext's block
+// sampling to a per-instruction reference: for every workload of all six
+// suites, the block path's totals AND sampled series must be
+// bit-identical to a one-core MultiCore run, which steps, samples and
+// charges OS noise one instruction at a time through its own
+// total%interval loop. The name is kept as the test's stable ID; the
+// per-instruction legacy loop it names is now MultiCore's. Budgets are
+// reduced so the whole matrix stays fast; the golden tests cover
+// full-budget values separately.
 func TestBatchedPathMatchesLegacyNext(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Instructions = 20_000
@@ -31,40 +25,41 @@ func TestBatchedPathMatchesLegacyNext(t *testing.T) {
 		s := s
 		t.Run(s.Name, func(t *testing.T) {
 			for _, spec := range s.Specs {
-				batched, err := workload.Compile(spec)
-				if err != nil {
-					t.Fatalf("compile %s: %v", spec.Name, err)
-				}
-				legacy, err := workload.Compile(spec)
-				if err != nil {
-					t.Fatalf("compile %s: %v", spec.Name, err)
-				}
-				if _, ok := uarch.Program(batched).(uarch.BatchProgram); !ok {
-					t.Fatalf("%s: compiled program does not implement BatchProgram", spec.Name)
-				}
 				mc := cfg.Machine
 				mc.SampleInterval = spec.Instructions / uint64(cfg.Samples)
 				if mc.SampleInterval == 0 {
 					mc.SampleInterval = 1
 				}
-				mb, err := uarch.NewMachine(mc)
+				block, err := workload.Compile(spec)
+				if err != nil {
+					t.Fatalf("compile %s: %v", spec.Name, err)
+				}
+				m, err := uarch.NewMachine(mc)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ml, err := uarch.NewMachine(mc)
+				got, err := m.Run(block, spec.Instructions)
+				block.Release()
+				if err != nil {
+					t.Fatalf("block run %s: %v", spec.Name, err)
+				}
+
+				ref, err := workload.Compile(spec)
+				if err != nil {
+					t.Fatalf("compile %s: %v", spec.Name, err)
+				}
+				one, err := uarch.NewMultiCore(mc, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := mb.Run(batched, spec.Instructions)
+				want, err := one.RunParallel([]uarch.Program{ref}, spec.Instructions)
+				ref.Release()
 				if err != nil {
-					t.Fatalf("batched run %s: %v", spec.Name, err)
+					t.Fatalf("per-instruction run %s: %v", spec.Name, err)
 				}
-				want, err := ml.Run(&legacyProgram{p: legacy}, spec.Instructions)
-				if err != nil {
-					t.Fatalf("legacy run %s: %v", spec.Name, err)
-				}
+
 				if got.Totals != want.Totals {
-					t.Errorf("%s: totals diverge between batched and legacy paths\nbatched: %v\nlegacy:  %v",
+					t.Errorf("%s: totals diverge between block and per-instruction paths\nblock:    %v\nper-instr: %v",
 						spec.Name, got.Totals, want.Totals)
 				}
 				if got.Series.Interval != want.Series.Interval {
@@ -72,7 +67,7 @@ func TestBatchedPathMatchesLegacyNext(t *testing.T) {
 						spec.Name, got.Series.Interval, want.Series.Interval)
 				}
 				if !reflect.DeepEqual(got.Series.Samples, want.Series.Samples) {
-					t.Errorf("%s: sampled series diverge between batched and legacy paths", spec.Name)
+					t.Errorf("%s: sampled series diverge between block and per-instruction paths", spec.Name)
 				}
 			}
 		})

@@ -83,6 +83,7 @@ func runOneMulticore(ctx context.Context, spec workload.Spec, cfg Config, thread
 	if mc.SampleInterval == 0 {
 		mc.SampleInterval = 1
 	}
+	mc.CountersOnly = cfg.TotalsOnly
 	m, err := uarch.NewMultiCore(mc, threads)
 	if err != nil {
 		return nil, err

@@ -2,7 +2,7 @@
 // at-scale input Perspector accepts from real collection pipelines — can
 // run to many gigabytes, so it must never be materialized: ProgramReader
 // parses the log chunk-at-a-time straight off any io.Reader and feeds
-// the simulator through uarch.BatchProgram, holding memory proportional
+// the simulator through uarch.Program, holding memory proportional
 // to one chunk (O(chunk), not O(file) — pinned by the bounded-memory
 // test over a synthetic ~1 GiB log).
 //
@@ -39,23 +39,19 @@ const streamChunk = 256 << 10
 // a legitimate record (the longest well-formed line is under 64 bytes).
 const maxLogLine = 4096
 
-// ProgramReader streams an instruction log as a uarch.BatchProgram.
-// It is strictly one-shot: a byte stream cannot rewind, so Reset after
-// consumption puts the reader into a permanent error state instead of
-// silently replaying wrong data. Parse failures end the stream early —
-// the simulator sees a short batch and stops — and are reported by Err;
-// callers must check it after the run.
+// ProgramReader streams an instruction log as a uarch.Program. Parse
+// failures end the stream early — the simulator sees a short batch and
+// stops — and are reported by Err; callers must check it after the run.
 type ProgramReader struct {
-	name    string
-	r       io.Reader
-	buf     []byte
-	start   int // first unconsumed byte in buf
-	end     int // one past the last valid byte in buf
-	eof     bool
-	err     error
-	line    uint64 // 1-based line number of the next record, for errors
-	started bool
-	count   uint64 // instructions emitted
+	name  string
+	r     io.Reader
+	buf   []byte
+	start int // first unconsumed byte in buf
+	end   int // one past the last valid byte in buf
+	eof   bool
+	err   error
+	line  uint64 // 1-based line number of the next record, for errors
+	count uint64 // instructions emitted
 }
 
 // NewProgramReader returns a streaming program named name over the log
@@ -67,33 +63,14 @@ func NewProgramReader(r io.Reader, name string) *ProgramReader {
 // Name implements uarch.Program.
 func (pr *ProgramReader) Name() string { return pr.name }
 
-// Reset implements uarch.Program. A stream cannot rewind: Reset before
-// any consumption is a no-op; after consumption it poisons the reader so
-// a replay bug surfaces as an error, never as silently truncated data.
-func (pr *ProgramReader) Reset() {
-	if pr.started {
-		pr.err = fmt.Errorf("trace: ProgramReader %q is one-shot and cannot Reset after reading", pr.name)
-	}
-}
-
-// Err returns the first error the stream hit: a malformed record, an
-// underlying read failure, or a Reset-after-consumption. io.EOF is not
-// an error. Callers must check Err after the simulator run, because the
-// simulator cannot distinguish "log ended" from "log broke".
+// Err returns the first error the stream hit: a malformed record or an
+// underlying read failure. io.EOF is not an error. Callers must check Err
+// after the simulator run, because the simulator cannot distinguish "log
+// ended" from "log broke".
 func (pr *ProgramReader) Err() error { return pr.err }
 
 // Count returns the number of instructions emitted so far.
 func (pr *ProgramReader) Count() uint64 { return pr.count }
-
-// Next implements uarch.Program.
-func (pr *ProgramReader) Next(in *uarch.Instr) bool {
-	var one [1]uarch.Instr
-	if pr.NextBatch(one[:]) == 0 {
-		return false
-	}
-	*in = one[0]
-	return true
-}
 
 // refill slides the unconsumed tail to the front of the buffer and reads
 // more bytes behind it. Reports whether any new bytes arrived.
@@ -122,11 +99,10 @@ func (pr *ProgramReader) refill() bool {
 	return n > 0
 }
 
-// NextBatch implements uarch.BatchProgram: it parses up to len(dst)
+// NextBatch implements uarch.Program: it parses up to len(dst)
 // records. A short count means the stream ended — cleanly at EOF, or on
 // the first malformed record (check Err).
 func (pr *ProgramReader) NextBatch(dst []uarch.Instr) int {
-	pr.started = true
 	n := 0
 	for n < len(dst) && pr.err == nil {
 		// Find the end of the current line, refilling as needed.
@@ -260,36 +236,46 @@ func parseBit(b []byte) (bool, bool) {
 func WriteInstrLog(w io.Writer, prog uarch.Program, max uint64) (uint64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var (
-		in      uarch.Instr
+		block   [1024]uarch.Instr
 		scratch [32]byte
 		n       uint64
 	)
-	for (max == 0 || n < max) && prog.Next(&in) {
-		var line []byte
-		switch in.Kind {
-		case uarch.ALU:
-			line = append(scratch[:0], 'A', '\n')
-		case uarch.Load, uarch.Store:
-			c := byte('L')
-			if in.Kind == uarch.Store {
-				c = 'S'
+	for max == 0 || n < max {
+		want := uint64(len(block))
+		if max != 0 && max-n < want {
+			want = max - n
+		}
+		got := prog.NextBatch(block[:want])
+		for _, in := range block[:got] {
+			var line []byte
+			switch in.Kind {
+			case uarch.ALU:
+				line = append(scratch[:0], 'A', '\n')
+			case uarch.Load, uarch.Store:
+				c := byte('L')
+				if in.Kind == uarch.Store {
+					c = 'S'
+				}
+				line = append(scratch[:0], c, ',')
+				line = strconv.AppendUint(line, in.Addr, 10)
+				line = append(line, '\n')
+			case uarch.Branch:
+				line = append(scratch[:0], 'B', ',')
+				line = strconv.AppendUint(line, in.PC, 10)
+				line = append(line, ',', bit(in.Taken), '\n')
+			case uarch.Syscall:
+				line = append(scratch[:0], 'Y', ',', bit(in.Fault), '\n')
+			default:
+				return n, fmt.Errorf("trace: unknown instruction kind %d", in.Kind)
 			}
-			line = append(scratch[:0], c, ',')
-			line = strconv.AppendUint(line, in.Addr, 10)
-			line = append(line, '\n')
-		case uarch.Branch:
-			line = append(scratch[:0], 'B', ',')
-			line = strconv.AppendUint(line, in.PC, 10)
-			line = append(line, ',', bit(in.Taken), '\n')
-		case uarch.Syscall:
-			line = append(scratch[:0], 'Y', ',', bit(in.Fault), '\n')
-		default:
-			return n, fmt.Errorf("trace: unknown instruction kind %d", in.Kind)
+			if _, err := bw.Write(line); err != nil {
+				return n, err
+			}
+			n++
 		}
-		if _, err := bw.Write(line); err != nil {
-			return n, err
+		if uint64(got) < want {
+			break // program ended
 		}
-		n++
 	}
 	return n, bw.Flush()
 }

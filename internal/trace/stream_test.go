@@ -96,6 +96,19 @@ func TestStreamRoundTripBitIdentical(t *testing.T) {
 	}
 }
 
+// readAll drains pr through NextBatch calls of the given chunk size.
+func readAll(pr *ProgramReader, chunk int) []uarch.Instr {
+	var out []uarch.Instr
+	buf := make([]uarch.Instr, chunk)
+	for {
+		n := pr.NextBatch(buf)
+		out = append(out, buf[:n]...)
+		if n < chunk {
+			return out
+		}
+	}
+}
+
 func TestStreamParsing(t *testing.T) {
 	log := "# provenance header\n" +
 		"A\n" +
@@ -106,11 +119,7 @@ func TestStreamParsing(t *testing.T) {
 		"Y,0\n" +
 		"B,4194308,0" // unterminated final line
 	pr := NewProgramReader(strings.NewReader(log), "t")
-	var got []uarch.Instr
-	var in uarch.Instr
-	for pr.Next(&in) {
-		got = append(got, in)
-	}
+	got := readAll(pr, 1)
 	if err := pr.Err(); err != nil {
 		t.Fatal(err)
 	}
@@ -147,36 +156,12 @@ func TestStreamMalformedRecords(t *testing.T) {
 	}
 	for _, c := range cases {
 		pr := NewProgramReader(strings.NewReader("A\n"+c), "t")
-		var in uarch.Instr
-		n := 0
-		for pr.Next(&in) {
-			n++
-		}
-		if n != 1 {
+		if n := len(readAll(pr, 1)); n != 1 {
 			t.Errorf("%q: parsed %d records before stopping, want 1", c[:min(len(c), 16)], n)
 		}
 		if pr.Err() == nil {
 			t.Errorf("%q: no error reported", c[:min(len(c), 16)])
 		}
-	}
-}
-
-func TestStreamResetIsOneShot(t *testing.T) {
-	pr := NewProgramReader(strings.NewReader("A\nA\n"), "t")
-	pr.Reset() // before consumption: fine
-	if pr.Err() != nil {
-		t.Fatal(pr.Err())
-	}
-	var in uarch.Instr
-	if !pr.Next(&in) {
-		t.Fatal("empty read")
-	}
-	pr.Reset() // after consumption: poisons
-	if pr.Err() == nil {
-		t.Fatal("Reset after consumption not reported")
-	}
-	if pr.Next(&in) {
-		t.Fatal("poisoned reader kept producing")
 	}
 }
 

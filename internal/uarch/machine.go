@@ -3,7 +3,6 @@ package uarch
 import (
 	"context"
 	"fmt"
-	"unsafe"
 
 	"perspector/internal/perf"
 )
@@ -37,26 +36,16 @@ type Instr struct {
 	Fault bool
 }
 
-// Program is a workload: a resettable generator of dynamic instructions.
-// Next fills in instr and reports false when the program has ended.
+// Program is a workload: a generator of dynamic instructions, pulled in
+// blocks so the machine pays one interface dispatch per block rather than
+// per instruction.
 type Program interface {
 	// Name identifies the workload.
 	Name() string
-	// Next produces the next dynamic instruction.
-	Next(instr *Instr) bool
-	// Reset rewinds the program to the beginning with its original seed.
-	Reset()
-}
-
-// BatchProgram is a Program that can emit instructions in blocks,
-// avoiding one interface dispatch per dynamic instruction. NextBatch
-// fills dst from the front and returns how many instructions it produced;
-// a short count means the program ended. The instruction sequence MUST be
-// byte-identical to what repeated Next calls would produce — the golden
-// equivalence tests pin both paths to the same counters.
-type BatchProgram interface {
-	Program
-	// NextBatch produces up to len(dst) instructions into dst[0:n].
+	// NextBatch produces up to len(dst) instructions into dst[0:n] and
+	// returns n. A short count means the program ended. The sequence must
+	// not depend on how callers size dst: n draws through NextBatch of
+	// one produce exactly the instructions of one NextBatch of n.
 	NextBatch(dst []Instr) int
 }
 
@@ -288,12 +277,11 @@ const maxSamplePrealloc = 1 << 20
 // discarded — counters from an interrupted execution would silently skew
 // every downstream score.
 //
-// Instructions are pulled in fixed blocks through BatchProgram when the
-// workload implements it (all stock workloads do), falling back to
-// per-instruction Next otherwise. Sampling uses countdown arithmetic: a
-// block never crosses a sample boundary, so the PMU snapshot happens at
-// exactly the same instruction numbers as the legacy per-instruction
-// loop, and every emitted counter stays bit-identical.
+// Instructions are pulled in fixed blocks through NextBatch. Sampling
+// uses countdown arithmetic: a block never crosses a sample boundary, so
+// the PMU snapshot happens at exactly the instruction numbers a
+// per-instruction loop would sample at, and every emitted counter stays
+// bit-identical to it.
 func (m *Machine) RunContext(ctx context.Context, prog Program, maxInstr uint64) (*perf.Measurement, error) {
 	if maxInstr == 0 {
 		return nil, fmt.Errorf("uarch: Run with maxInstr == 0")
@@ -319,7 +307,6 @@ func (m *Machine) RunContext(ctx context.Context, prog Program, maxInstr uint64)
 		m.batch = make([]Instr, block)
 	}
 	buf := m.batch[:block]
-	bprog, batched := prog.(BatchProgram)
 
 	checkEvery := cancelStride / block // ≥ 1 because block ≤ cancelStride
 	var sinceCheck uint64
@@ -334,16 +321,7 @@ func (m *Machine) RunContext(ctx context.Context, prog Program, maxInstr uint64)
 		if interval > 0 && toSample < n {
 			n = toSample
 		}
-		var got int
-		if batched {
-			got = bprog.NextBatch(buf[:n])
-		} else {
-			for got = 0; got < int(n); got++ {
-				if !prog.Next(&buf[got]) {
-					break
-				}
-			}
-		}
+		got := prog.NextBatch(buf[:n])
 		// CPUCycles accumulates locally and lands in one Add per block;
 		// blocks never cross a sample boundary, so every sample still
 		// snapshots identical cumulative counters.
@@ -380,13 +358,6 @@ func (m *Machine) RunContext(ctx context.Context, prog Program, maxInstr uint64)
 	return meas, nil
 }
 
-// step executes one instruction, charging PMU events, and returns its
-// cycle cost; the caller accounts CPUCycles (batched per block in
-// RunContext, per instruction in the multicore interleaver).
-func (m *Machine) step(in *Instr, pmu *perf.Values) uint64 {
-	return m.stepBlock(unsafe.Slice(in, 1), pmu)
-}
-
 // stepBlock executes a block of instructions, charging PMU events, and
 // returns the block's total cycle cost (the caller accounts CPUCycles).
 // The per-kind switch lives directly in the block loop and every config
@@ -394,7 +365,8 @@ func (m *Machine) step(in *Instr, pmu *perf.Values) uint64 {
 // config-field reload per instruction. Event counts accumulate in locals
 // and flush to the PMU once per block — RunContext never lets a block
 // cross a sample boundary, so every sample reads the same values it
-// would with per-instruction Adds.
+// would with per-instruction Adds. The multicore interleaver steps
+// one-instruction blocks.
 func (m *Machine) stepBlock(buf []Instr, pmu *perf.Values) uint64 {
 	var (
 		tlb, l1, l2, l3 = m.tlb, m.l1, m.l2, m.l3

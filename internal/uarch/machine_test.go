@@ -15,14 +15,10 @@ type scriptProgram struct {
 }
 
 func (p *scriptProgram) Name() string { return p.name }
-func (p *scriptProgram) Reset()       { p.pos = 0 }
-func (p *scriptProgram) Next(in *Instr) bool {
-	if p.pos >= len(p.instrs) {
-		return false
-	}
-	*in = p.instrs[p.pos]
-	p.pos++
-	return true
+func (p *scriptProgram) NextBatch(dst []Instr) int {
+	n := copy(dst, p.instrs[p.pos:])
+	p.pos += n
+	return n
 }
 
 func newTestMachine(t testing.TB) *Machine {
@@ -246,7 +242,7 @@ func TestMachineReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Reset()
-	prog.Reset()
+	prog.pos = 0
 	second, err := m.Run(prog, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -486,7 +482,7 @@ func BenchmarkMachineRun(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		prog.Reset()
+		prog.pos = 0
 		m.Reset()
 		if _, err := m.Run(prog, 1<<20); err != nil {
 			b.Fatal(err)

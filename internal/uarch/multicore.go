@@ -62,7 +62,8 @@ func (mc *MultiCore) Reset() {
 // has executed maxInstrPerCore instructions or ended. It returns one
 // aggregated measurement; the workload name is taken from the first
 // program. Sampling (cfg.SampleInterval) applies to the aggregate
-// instruction count.
+// instruction count; cfg.CountersOnly keeps the totals and drops the
+// series, as in Machine.RunContext.
 func (mc *MultiCore) RunParallel(progs []Program, maxInstrPerCore uint64) (*perf.Measurement, error) {
 	return mc.RunParallelContext(context.Background(), progs, maxInstrPerCore)
 }
@@ -70,6 +71,11 @@ func (mc *MultiCore) RunParallel(progs []Program, maxInstrPerCore uint64) (*perf
 // RunParallelContext is RunParallel with cooperative cancellation; the
 // interleaved loop polls ctx on the same stride as Machine.RunContext,
 // measured in aggregate instructions.
+//
+// Each core fetches its program a block at a time into its machine's
+// block buffer, but steps and samples one instruction per turn. Programs
+// are independent of one another and of machine state, so fetching ahead
+// leaves every instruction stream, and so every counter, unchanged.
 func (mc *MultiCore) RunParallelContext(ctx context.Context, progs []Program, maxInstrPerCore uint64) (*perf.Measurement, error) {
 	if len(progs) != len(mc.cores) {
 		return nil, fmt.Errorf("uarch: RunParallel got %d programs for %d cores", len(progs), len(mc.cores))
@@ -80,34 +86,40 @@ func (mc *MultiCore) RunParallelContext(ctx context.Context, progs []Program, ma
 	meas := &perf.Measurement{Workload: progs[0].Name()}
 	pmu := &meas.Totals
 	ts := &meas.Series
-	ts.Interval = mc.cfg.SampleInterval
+	interval := mc.cfg.SampleInterval
+	ts.Interval = interval
 
-	stride := checkStride(mc.cfg.SampleInterval)
-	executed := make([]uint64, len(progs))
-	done := make([]bool, len(progs))
+	stride := checkStride(interval)
+	feeds := make([]coreFeed, len(progs))
+	for i := range feeds {
+		feeds[i].left = maxInstrPerCore
+	}
 	remaining := len(progs)
-	var instr Instr
 	var total uint64
 	var prev perf.Values
 	for remaining > 0 {
 		for i, prog := range progs {
-			if done[i] {
+			f, core := &feeds[i], mc.cores[i]
+			if f.done {
 				continue
 			}
-			if executed[i] >= maxInstrPerCore || !prog.Next(&instr) {
-				done[i] = true
+			if f.pos == len(f.buf) && !f.refill(core, prog) {
+				f.done = true
 				remaining--
 				continue
 			}
-			executed[i]++
+			in := f.buf[f.pos : f.pos+1]
+			f.pos++
 			total++
-			pmu.Add(perf.CPUCycles, mc.cores[i].step(&instr, pmu))
-			if mc.cfg.SampleInterval > 0 && total%mc.cfg.SampleInterval == 0 {
-				mc.cores[i].chargeOSNoise(pmu)
-				delta := pmu.Sub(prev)
-				prev = *pmu
-				for c := perf.Counter(0); c < perf.NumCounters; c++ {
-					ts.Samples[c] = append(ts.Samples[c], float64(delta.Get(c)))
+			pmu.Add(perf.CPUCycles, core.stepBlock(in, pmu))
+			if interval > 0 && total%interval == 0 {
+				core.chargeOSNoise(pmu)
+				if !mc.cfg.CountersOnly {
+					delta := pmu.Sub(prev)
+					prev = *pmu
+					for c := perf.Counter(0); c < perf.NumCounters; c++ {
+						ts.Samples[c] = append(ts.Samples[c], float64(delta.Get(c)))
+					}
 				}
 			}
 			if total%stride == 0 {
@@ -118,4 +130,41 @@ func (mc *MultiCore) RunParallelContext(ctx context.Context, progs []Program, ma
 		}
 	}
 	return meas, nil
+}
+
+// coreFeed is one core's fetched-ahead block: buf[pos:] is still to be
+// stepped, and left is what the budget allows the program to emit.
+type coreFeed struct {
+	buf  []Instr
+	pos  int
+	left uint64
+	done bool
+}
+
+// feedBlock is the per-core fetch size of the interleaver. Stepping is
+// per instruction whatever the fetch size, so a small block amortizes
+// the NextBatch call without a 96 KiB buffer per core.
+const feedBlock = 256
+
+// refill fetches the core's next block into the machine's block buffer,
+// never past the budget. It reports false once the budget is spent or the
+// program has ended.
+func (f *coreFeed) refill(m *Machine, prog Program) bool {
+	if cap(m.batch) < feedBlock {
+		m.batch = make([]Instr, feedBlock)
+	}
+	n := uint64(feedBlock)
+	if f.left < n {
+		n = f.left
+	}
+	if n == 0 {
+		return false
+	}
+	got := prog.NextBatch(m.batch[:n])
+	f.buf, f.pos = m.batch[:got], 0
+	f.left -= uint64(got)
+	if uint64(got) < n {
+		f.left = 0 // short block: the program ended
+	}
+	return got > 0
 }

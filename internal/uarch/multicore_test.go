@@ -7,19 +7,24 @@ import (
 	"perspector/internal/rng"
 )
 
-// mkStreams builds n scripted programs, each sweeping its own region of
-// the given working set.
+// mkStreamProgs builds n scripted programs, each sweeping its own region
+// of the given working set.
 func mkStreamProgs(n int, wsPerCore uint64, instrs int) []Program {
 	progs := make([]Program, n)
 	for c := 0; c < n; c++ {
-		base := uint64(c) << 33
-		ins := make([]Instr, instrs)
-		for i := range ins {
-			ins[i] = Instr{Kind: Load, Addr: base + (uint64(i)*64)%wsPerCore}
-		}
-		progs[c] = &scriptProgram{name: "core" + string(rune('0'+c)), instrs: ins}
+		progs[c] = mkStreamProg(c, wsPerCore, instrs)
 	}
 	return progs
+}
+
+// mkStreamProg builds core c's program of mkStreamProgs.
+func mkStreamProg(c int, wsPerCore uint64, instrs int) *scriptProgram {
+	base := uint64(c) << 33
+	ins := make([]Instr, instrs)
+	for i := range ins {
+		ins[i] = Instr{Kind: Load, Addr: base + (uint64(i)*64)%wsPerCore}
+	}
+	return &scriptProgram{name: "core" + string(rune('0'+c)), instrs: ins}
 }
 
 func TestMultiCoreBasics(t *testing.T) {
@@ -42,6 +47,29 @@ func TestMultiCoreBasics(t *testing.T) {
 	}
 	if meas.Totals.Get(perf.CPUCycles) < 40000 {
 		t.Fatal("CPI < 1 in aggregate")
+	}
+}
+
+// TestMultiCoreBudgetAndUnevenEnds runs a program longer than the budget
+// (whose budget spans more than one fetched block) beside one that ends
+// early: each executes exactly min(length, budget), and no instruction
+// past the budget is fetched.
+func TestMultiCoreBudgetAndUnevenEnds(t *testing.T) {
+	mc, err := NewMultiCore(DefaultMachineConfig(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	long, short := mkStreamProg(0, 1<<20, 10000), mkStreamProg(1, 1<<20, 1000)
+	const budget = 10*feedBlock + 37
+	meas, err := mc.RunParallel([]Program{long, short}, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := meas.Totals.Get(perf.DTLBLoads); got != budget+1000 {
+		t.Fatalf("aggregate loads = %d, want %d", got, budget+1000)
+	}
+	if long.pos != budget {
+		t.Fatalf("long program fetched %d instructions, budget %d", long.pos, budget)
 	}
 }
 

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"perspector/internal/rng"
 	"perspector/internal/uarch"
 )
 
@@ -36,74 +37,89 @@ func multiPhaseSpec() Spec {
 	}
 }
 
-// TestNextBatchMatchesNext drives two identically compiled programs — one
-// instruction at a time versus NextBatch with deliberately awkward chunk
-// sizes — across phase boundaries and program end, requiring the two
-// instruction streams to be structurally identical. This is the
-// workload-level half of the batching equivalence contract (the
-// machine-level half lives in internal/suites).
-func TestNextBatchMatchesNext(t *testing.T) {
-	chunks := []int{1, 3, 7, 64, 129, 1000, 4096}
-	for _, chunk := range chunks {
-		scalar, err := Compile(multiPhaseSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		batched, err := Compile(multiPhaseSpec())
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf := make([]uarch.Instr, chunk)
-		var pos uint64
-		for {
-			n := batched.NextBatch(buf)
-			for i := 0; i < n; i++ {
-				var want uarch.Instr
-				if !scalar.Next(&want) {
-					t.Fatalf("chunk %d: scalar stream ended at %d while batch produced more", chunk, pos)
-				}
-				if buf[i] != want {
-					t.Fatalf("chunk %d: instruction %d diverges: batch %+v, scalar %+v",
-						chunk, pos, buf[i], want)
-				}
-				pos++
-			}
-			if n < chunk {
-				break
-			}
-		}
-		var extra uarch.Instr
-		if scalar.Next(&extra) {
-			t.Fatalf("chunk %d: scalar stream continues past batch end at %d", chunk, pos)
-		}
-		if pos != 30_000 {
-			t.Fatalf("chunk %d: stream ended after %d instructions, want 30000", chunk, pos)
+// drainChunked collects prog's whole instruction stream through NextBatch
+// calls of the given chunk size.
+func drainChunked(prog *Program, chunk int) []uarch.Instr {
+	var out []uarch.Instr
+	buf := make([]uarch.Instr, chunk)
+	for {
+		n := prog.NextBatch(buf)
+		out = append(out, buf[:n]...)
+		if n < chunk {
+			return out
 		}
 	}
 }
 
-// TestNextBatchAfterReset checks that Reset rewinds the batched path to an
-// identical replay, interleaving batch sizes before and after.
-func TestNextBatchAfterReset(t *testing.T) {
-	prog, err := Compile(multiPhaseSpec())
+// TestNextBatchMatchesNext requires a program's instruction stream to be
+// independent of how NextBatch calls are sized: deliberately awkward
+// chunk sizes, across phase boundaries and program end, must reproduce
+// the chunk-1 stream exactly. This is the workload-level half of the
+// block equivalence contract (the machine-level half lives in
+// internal/suites).
+func TestNextBatchMatchesNext(t *testing.T) {
+	ref, err := Compile(multiPhaseSpec())
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := make([]uarch.Instr, 500)
-	if n := prog.NextBatch(first); n != len(first) {
-		t.Fatalf("short first batch: %d", n)
+	want := drainChunked(ref, 1)
+	if len(want) != 30_000 {
+		t.Fatalf("chunk 1: stream ended after %d instructions, want 30000", len(want))
 	}
-	// Consume some more with a different chunking, then rewind.
-	rest := make([]uarch.Instr, 333)
-	prog.NextBatch(rest)
-	prog.Reset()
-	replay := make([]uarch.Instr, 500)
-	if n := prog.NextBatch(replay); n != len(replay) {
-		t.Fatalf("short replay batch: %d", n)
-	}
-	for i := range first {
-		if first[i] != replay[i] {
-			t.Fatalf("instruction %d not replayed after Reset: %+v vs %+v", i, first[i], replay[i])
+	for _, chunk := range []int{3, 7, 64, 129, 1000, 4096} {
+		prog, err := Compile(multiPhaseSpec())
+		if err != nil {
+			t.Fatal(err)
 		}
+		got := drainChunked(prog, chunk)
+		if len(got) != len(want) {
+			t.Fatalf("chunk %d: %d instructions, chunk 1 gave %d", chunk, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("chunk %d: instruction %d diverges: %+v, chunk 1 %+v", chunk, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestAddrGenChunkInvariant draws n addresses one at a time through
+// NextBatch and compares them with one NextBatch of n from an identical
+// generator, for every pattern kind. The Alternating period of 48 does
+// not divide the 64-address refill of addrStream, so its switch points
+// fall inside blocks.
+func TestAddrGenChunkInvariant(t *testing.T) {
+	patterns := []PatternSpec{
+		Sequential{WorkingSet: 16 << 10, Stride: 192},
+		Streams{WorkingSet: 64 << 10, Count: 3},
+		Random{WorkingSet: 3 << 20},
+		Zipf{WorkingSet: 8 << 20, Alpha: 0.9},
+		PointerChase{WorkingSet: 512 << 10},
+		HotCold{HotSet: 8 << 10, ColdSet: 6 << 20, HotFrac: 0.7},
+		Alternating{A: Random{WorkingSet: 1 << 20}, B: Sequential{WorkingSet: 1 << 20}, Period: 48},
+	}
+	const n = 5000
+	for _, p := range patterns {
+		one, err := p.Instantiate(1<<33, rng.New(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		whole, err := p.Instantiate(1<<33, rng.New(21))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]uint64, n)
+		whole.NextBatch(want)
+		got := make([]uint64, n)
+		for i := range got {
+			one.NextBatch(got[i : i+1])
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%T: address %d drawn singly %#x, in one batch %#x", p, i, got[i], want[i])
+			}
+		}
+		releaseGen(one)
+		releaseGen(whole)
 	}
 }

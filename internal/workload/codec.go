@@ -466,35 +466,3 @@ func UnmarshalSpec(data []byte) (Spec, error) {
 	}
 	return s, nil
 }
-
-// EncodeSpec writes the indented JSON document of s.
-func EncodeSpec(w io.Writer, s Spec) error {
-	data, err := MarshalSpec(s)
-	if err != nil {
-		return err
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, data, "", "  "); err != nil {
-		return err
-	}
-	buf.WriteByte('\n')
-	_, err = w.Write(buf.Bytes())
-	return err
-}
-
-// DecodeSpec reads one versioned Spec document from r.
-func DecodeSpec(r io.Reader) (Spec, error) {
-	data, err := io.ReadAll(io.LimitReader(r, maxSpecDocBytes+1))
-	if err != nil {
-		return Spec{}, fmt.Errorf("workload: spec: %w", err)
-	}
-	if len(data) > maxSpecDocBytes {
-		return Spec{}, fmt.Errorf("workload: spec document exceeds %d bytes", maxSpecDocBytes)
-	}
-	return UnmarshalSpec(data)
-}
-
-// maxSpecDocBytes bounds a single decoded spec document — far above any
-// realistic spec, small enough that a hostile upload cannot balloon
-// memory before validation rejects it.
-const maxSpecDocBytes = 4 << 20

@@ -15,19 +15,13 @@ import (
 	"perspector/internal/rng"
 )
 
-// AddrGen produces a stream of virtual addresses.
+// AddrGen produces an infinite stream of virtual addresses. NextBatch
+// fills all of dst, and the stream must not depend on how callers size
+// dst: n calls with one-element slices yield exactly the addresses of one
+// call with n. Generators draw from private RNG streams (split off at
+// Instantiate), so producing addresses ahead of consumption cannot
+// perturb any other stream.
 type AddrGen interface {
-	Next() uint64
-}
-
-// BatchAddrGen is an AddrGen that can fill a whole slice per call.
-// Address streams are infinite, so NextBatch always fills all of dst, and
-// it MUST produce exactly the values len(dst) successive Next calls
-// would. Every built-in pattern implements it; generators draw from
-// private RNG streams (split off at Instantiate), so producing addresses
-// ahead of consumption cannot perturb any other stream.
-type BatchAddrGen interface {
-	AddrGen
 	NextBatch(dst []uint64)
 }
 
@@ -68,15 +62,6 @@ func (s Sequential) Instantiate(base uint64, _ *rng.Source) (AddrGen, error) {
 
 type seqGen struct {
 	base, ws, stride, pos uint64
-}
-
-func (g *seqGen) Next() uint64 {
-	addr := g.base + g.pos
-	g.pos += g.stride
-	if g.pos >= g.ws {
-		g.pos = 0
-	}
-	return addr
 }
 
 func (g *seqGen) NextBatch(dst []uint64) {
@@ -137,17 +122,6 @@ type streamsGen struct {
 	turn   int
 }
 
-func (g *streamsGen) Next() uint64 {
-	i := g.turn
-	g.turn = (g.turn + 1) % len(g.bases)
-	addr := g.bases[i] + g.pos[i]
-	g.pos[i] += g.stride
-	if g.pos[i] >= g.per {
-		g.pos[i] = 0
-	}
-	return addr
-}
-
 func (g *streamsGen) NextBatch(dst []uint64) {
 	turn, n := g.turn, len(g.bases)
 	for i := range dst {
@@ -192,14 +166,10 @@ type randGen struct {
 	src   *rng.Source
 }
 
-func (g *randGen) Next() uint64 {
-	return g.base + uint64(g.src.Intn(int(g.lines)))*64
-}
-
 // NextBatch hand-inlines rng.Intn's Lemire sampling with the threshold
 // precomputed at construction, so the per-address draw compiles down to
 // an inlined xoshiro step and one widening multiply — no calls. The draw
-// stream is identical to Next's (see the note on rng.Intn).
+// stream is identical to rng.Intn(lines)'s (see the note on rng.Intn).
 func (g *randGen) NextBatch(dst []uint64) {
 	base, lines, thr, src := g.base, g.lines, g.thr, g.src
 	for i := range dst {
@@ -246,12 +216,6 @@ type zipfGen struct {
 	base uint64
 	zipf *rng.Zipf
 	src  *rng.Source
-}
-
-func (g *zipfGen) Next() uint64 {
-	page := uint64(g.zipf.Next())
-	line := uint64(g.src.Intn(4096 / 64))
-	return g.base + page*4096 + line*64
 }
 
 func (g *zipfGen) NextBatch(dst []uint64) {
@@ -385,11 +349,6 @@ func releaseGen(gen AddrGen) {
 	}
 }
 
-func (g *chaseGen) Next() uint64 {
-	g.cur = g.next[g.cur]
-	return g.base + uint64(g.cur)*64
-}
-
 func (g *chaseGen) NextBatch(dst []uint64) {
 	base, next, cur := g.base, g.next, g.cur
 	for i := range dst {
@@ -439,13 +398,6 @@ type hotColdGen struct {
 	coldThr   uint64
 	hotFrac   float64
 	src       *rng.Source
-}
-
-func (g *hotColdGen) Next() uint64 {
-	if g.src.Bool(g.hotFrac) {
-		return g.base + uint64(g.src.Intn(int(g.hotLines)))*64
-	}
-	return g.coldBase + uint64(g.src.Intn(int(g.coldLines)))*64
 }
 
 // NextBatch hand-inlines the two fixed-bound Lemire draws (see randGen).
@@ -519,18 +471,6 @@ type altGen struct {
 	inB    bool
 }
 
-func (g *altGen) Next() uint64 {
-	if g.count >= g.period {
-		g.count = 0
-		g.inB = !g.inB
-	}
-	g.count++
-	if g.inB {
-		return g.b.Next()
-	}
-	return g.a.Next()
-}
-
 // NextBatch chunks the request at sub-pattern switch points, forwarding
 // each run of ≤ Period accesses to the active sub-generator in one call.
 func (g *altGen) NextBatch(dst []uint64) {
@@ -547,13 +487,7 @@ func (g *altGen) NextBatch(dst []uint64) {
 		if g.inB {
 			cur = g.b
 		}
-		if bg, ok := cur.(BatchAddrGen); ok {
-			bg.NextBatch(dst[:n])
-		} else {
-			for i := 0; i < n; i++ {
-				dst[i] = cur.Next()
-			}
-		}
+		cur.NextBatch(dst[:n])
 		g.count += n
 		dst = dst[n:]
 	}

@@ -4,8 +4,14 @@ import (
 	"testing"
 
 	"perspector/internal/rng"
-	"perspector/internal/uarch"
 )
+
+// draw takes the next n addresses of g in one NextBatch.
+func draw(g AddrGen, n int) []uint64 {
+	out := make([]uint64, n)
+	g.NextBatch(out)
+	return out
+}
 
 func TestSequentialWraps(t *testing.T) {
 	g, err := Sequential{WorkingSet: 256, Stride: 64}.Instantiate(0x1000, rng.New(1))
@@ -13,8 +19,8 @@ func TestSequentialWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []uint64{0x1000, 0x1040, 0x1080, 0x10c0, 0x1000}
-	for i, w := range want {
-		if got := g.Next(); got != w {
+	for i, got := range draw(g, len(want)) {
+		if w := want[i]; got != w {
 			t.Fatalf("step %d: %#x, want %#x", i, got, w)
 		}
 	}
@@ -25,8 +31,7 @@ func TestSequentialDefaultStride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Next()
-	if got := g.Next(); got != 64 {
+	if got := draw(g, 2)[1]; got != 64 {
 		t.Fatalf("default stride: second addr %#x, want 64", got)
 	}
 }
@@ -42,9 +47,8 @@ func TestStreamsInterleave(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a0 := g.Next() // stream 0
-	a1 := g.Next() // stream 1
-	a2 := g.Next() // stream 0 again
+	a := draw(g, 3)
+	a0, a1, a2 := a[0], a[1], a[2] // streams 0, 1, then 0 again
 	if a1-a0 != 2048 {
 		t.Fatalf("streams not 2048 apart: %#x %#x", a0, a1)
 	}
@@ -68,8 +72,7 @@ func TestRandomInBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10000; i++ {
-		a := g.Next()
+	for _, a := range draw(g, 10000) {
 		if a < 0x10000 || a >= 0x10000+ws {
 			t.Fatalf("address %#x out of region", a)
 		}
@@ -92,8 +95,7 @@ func TestZipfSkewsPages(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := map[uint64]int{}
-	for i := 0; i < 50000; i++ {
-		a := g.Next()
+	for _, a := range draw(g, 50000) {
 		if a >= ws {
 			t.Fatalf("address %#x out of region", a)
 		}
@@ -120,8 +122,7 @@ func TestPointerChaseFullCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	seen := map[uint64]bool{}
-	for i := 0; i < 64; i++ {
-		a := g.Next()
+	for _, a := range draw(g, 64) {
 		if a >= ws || a%64 != 0 {
 			t.Fatalf("address %#x invalid", a)
 		}
@@ -134,7 +135,7 @@ func TestPointerChaseFullCycle(t *testing.T) {
 		t.Fatalf("cycle covered %d lines, want 64", len(seen))
 	}
 	// The next access restarts the same cycle.
-	first := g.Next()
+	first := draw(g, 1)[0]
 	if !seen[first] {
 		t.Fatal("second cycle visits new address")
 	}
@@ -156,8 +157,7 @@ func TestHotColdSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 	hot, cold := 0, 0
-	for i := 0; i < 20000; i++ {
-		a := g.Next()
+	for _, a := range draw(g, 20000) {
 		switch {
 		case a < 4096:
 			hot++
@@ -193,18 +193,19 @@ func TestAlternatingSwitches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// First 4 accesses in region A ([0, 4096)), next 4 in region B.
-	for i := 0; i < 4; i++ {
-		if addr := g.Next(); addr >= 4096 {
+	addrs := draw(g, 9)
+	for i, addr := range addrs[:4] {
+		if addr >= 4096 {
 			t.Fatalf("access %d at %#x escaped region A", i, addr)
 		}
 	}
-	for i := 0; i < 4; i++ {
-		if addr := g.Next(); addr < 4096 || addr >= 8192 {
+	for i, addr := range addrs[4:8] {
+		if addr < 4096 || addr >= 8192 {
 			t.Fatalf("access %d at %#x outside region B", i, addr)
 		}
 	}
 	// And back to A.
-	if addr := g.Next(); addr >= 4096 {
+	if addr := addrs[8]; addr >= 4096 {
 		t.Fatalf("did not return to region A: %#x", addr)
 	}
 }
@@ -217,16 +218,17 @@ func TestAlternatingDefaultPeriod(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	addrs := draw(g, 65)
 	inA := 0
-	for i := 0; i < 64; i++ {
-		if g.Next() < 64*64 {
+	for _, a := range addrs[:64] {
+		if a < 64*64 {
 			inA++
 		}
 	}
 	if inA != 64 {
 		t.Fatalf("default period: first 64 accesses had %d in region A, want 64", inA)
 	}
-	if g.Next() < 64*64 {
+	if addrs[64] < 64*64 {
 		t.Fatal("access 65 still in region A")
 	}
 }
@@ -263,12 +265,7 @@ func TestAlternatingInSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in uarch.Instr
-	n := 0
-	for prog.Next(&in) {
-		n++
-	}
-	if n != 5000 {
+	if n := len(drainProgram(prog)); n != 5000 {
 		t.Fatalf("alternating spec produced %d instructions", n)
 	}
 }

@@ -145,13 +145,13 @@ func probThreshold(p float64) uint64 {
 	return uint64(math.Ceil(p * (1 << 53)))
 }
 
-// addrStream buffers an AddrGen so the per-address interface dispatch is
-// amortized over a block refill. Safe for lookahead: every generator owns
-// a private RNG stream, so drawing addresses early produces exactly the
-// values later one-at-a-time calls would.
 // addrBatch is the refill size of an addrStream.
 const addrBatch = 64
 
+// addrStream buffers an AddrGen so the per-address interface dispatch is
+// amortized over a block refill. Safe for lookahead: every generator owns
+// a private RNG stream, so drawing addresses early produces exactly the
+// values later draws would.
 type addrStream struct {
 	gen AddrGen
 	buf [addrBatch]uint64
@@ -165,13 +165,7 @@ func newAddrStream(gen AddrGen) addrStream {
 
 func (s *addrStream) next() uint64 {
 	if s.i == len(s.buf) {
-		if bg, ok := s.gen.(BatchAddrGen); ok {
-			bg.NextBatch(s.buf[:])
-		} else {
-			for j := range s.buf {
-				s.buf[j] = s.gen.Next()
-			}
-		}
+		s.gen.NextBatch(s.buf[:])
 		s.i = 0
 	}
 	a := s.buf[s.i]
@@ -272,26 +266,10 @@ func Compile(spec Spec) (*Program, error) {
 // Name implements uarch.Program.
 func (pr *Program) Name() string { return pr.spec.Name }
 
-// Reset implements uarch.Program by recompiling the generators from the
-// original spec, restoring the exact initial stream. The tables of the
-// generators it replaces are released first, so the recompile can reuse
-// them.
-func (pr *Program) Reset() {
-	pr.Release()
-	fresh, err := Compile(pr.spec)
-	if err != nil {
-		// Compile succeeded once with the same spec; a failure here is a
-		// programming error.
-		panic(fmt.Sprintf("workload: Reset recompile failed: %v", err))
-	}
-	*pr = *fresh
-}
-
 // Release returns the program's pointer-chase tables to the shared free
 // list, so the next Compile can reuse them instead of allocating.
 // Call it once the program has run; drawing addresses from a released
-// chase generator panics. Releasing twice is a no-op, and a released
-// program can still be Reset.
+// chase generator panics. Releasing twice is a no-op.
 func (pr *Program) Release() {
 	for i := range pr.phases {
 		releaseGen(pr.phases[i].loadGen.gen)
@@ -299,9 +277,8 @@ func (pr *Program) Release() {
 	}
 }
 
-// emit produces one instruction of this phase. It is the shared body of
-// Next and NextBatch, so both paths draw from the RNG streams in exactly
-// the same order and produce identical instruction sequences.
+// emit produces one instruction of this phase, drawing from the phase's
+// RNG streams in a fixed order.
 func (cp *compiledPhase) emit(in *uarch.Instr) {
 	// Each case overwrites every field in one composite store: callers
 	// reuse the same Instr across calls. Kind selection and coin flips
@@ -336,21 +313,7 @@ func (cp *compiledPhase) emit(in *uarch.Instr) {
 	}
 }
 
-// Next implements uarch.Program.
-func (pr *Program) Next(in *uarch.Instr) bool {
-	if pr.pos >= pr.spec.Instructions {
-		return false
-	}
-	for pr.pos >= pr.bounds[pr.cur] {
-		pr.cur++
-	}
-	cp := &pr.phases[pr.cur]
-	pr.pos++
-	cp.emit(in)
-	return true
-}
-
-// NextBatch implements uarch.BatchProgram: it emits up to len(dst)
+// NextBatch implements uarch.Program: it emits up to len(dst)
 // instructions, resolving the active phase once per run instead of once
 // per instruction.
 func (pr *Program) NextBatch(dst []uarch.Instr) int {
@@ -372,9 +335,3 @@ func (pr *Program) NextBatch(dst []uarch.Instr) int {
 	}
 	return n
 }
-
-// PhaseCount returns the number of phases.
-func (pr *Program) PhaseCount() int { return len(pr.phases) }
-
-// Spec returns a copy of the program's spec.
-func (pr *Program) Spec() Spec { return pr.spec }

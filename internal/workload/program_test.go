@@ -30,10 +30,9 @@ func TestCompileAndRun(t *testing.T) {
 	if prog.Name() != "w" {
 		t.Fatalf("name %q", prog.Name())
 	}
-	var in uarch.Instr
 	count := 0
 	kinds := map[uarch.InstrKind]int{}
-	for prog.Next(&in) {
+	for _, in := range drainProgram(prog) {
 		count++
 		kinds[in.Kind]++
 	}
@@ -80,31 +79,13 @@ func TestProgramDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b uarch.Instr
-	for i := 0; i < 5000; i++ {
-		okA, okB := p1.Next(&a), p2.Next(&b)
-		if okA != okB || a != b {
-			t.Fatalf("programs diverged at instruction %d: %+v vs %+v", i, a, b)
-		}
+	a, b := drainProgram(p1), drainProgram(p2)
+	if len(a) != 5000 || len(b) != 5000 {
+		t.Fatalf("programs produced %d and %d instructions, want 5000", len(a), len(b))
 	}
-}
-
-func TestProgramReset(t *testing.T) {
-	prog, err := Compile(simpleSpec("w", 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first []uarch.Instr
-	var in uarch.Instr
-	for i := 0; i < 100; i++ {
-		prog.Next(&in)
-		first = append(first, in)
-	}
-	prog.Reset()
-	for i := 0; i < 100; i++ {
-		prog.Next(&in)
-		if in != first[i] {
-			t.Fatalf("Reset did not replay instruction %d", i)
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("programs diverged at instruction %d: %+v vs %+v", i, a[i], b[i])
 		}
 	}
 }
@@ -114,17 +95,12 @@ func TestProgramEnds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in uarch.Instr
-	for i := 0; i < 10; i++ {
-		if !prog.Next(&in) {
-			t.Fatalf("ended early at %d", i)
-		}
+	buf := make([]uarch.Instr, 16)
+	if n := prog.NextBatch(buf); n != 10 {
+		t.Fatalf("first batch = %d instructions, want 10", n)
 	}
-	if prog.Next(&in) {
-		t.Fatal("program did not end")
-	}
-	if prog.Next(&in) {
-		t.Fatal("program resumed after end")
+	if n := prog.NextBatch(buf); n != 0 {
+		t.Fatalf("program resumed after end with %d instructions", n)
 	}
 }
 
@@ -142,10 +118,8 @@ func TestPhaseTransitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in uarch.Instr
 	loadsFirst, loadsSecond := 0, 0
-	for i := 0; i < 20000; i++ {
-		prog.Next(&in)
+	for i, in := range drainProgram(prog) {
 		if in.Kind == uarch.Load {
 			if i < 10000 {
 				loadsFirst++
@@ -175,9 +149,8 @@ func TestPhaseWeightsNormalized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in uarch.Instr
 	loads := 0
-	for prog.Next(&in) {
+	for _, in := range drainProgram(prog) {
 		if in.Kind == uarch.Load {
 			loads++
 		}
@@ -232,8 +205,7 @@ func TestStorePatternDefaultsToLoadPattern(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in uarch.Instr
-	for prog.Next(&in) {
+	for _, in := range drainProgram(prog) {
 		if in.Kind == uarch.Store && in.Addr >= uint64(1)<<33+4096 {
 			t.Fatalf("store address %#x outside shared region", in.Addr)
 		}
@@ -251,9 +223,8 @@ func TestSyscallFaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var in uarch.Instr
 	sys, faults := 0, 0
-	for prog.Next(&in) {
+	for _, in := range drainProgram(prog) {
 		if in.Kind == uarch.Syscall {
 			sys++
 			if in.Fault {
@@ -289,16 +260,7 @@ func TestPhaseStreamIsolation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var out []uarch.Instr
-		var in uarch.Instr
-		i := 0
-		for prog.Next(&in) {
-			if i >= 2000 { // phase 2 half
-				out = append(out, in)
-			}
-			i++
-		}
-		return out
+		return drainProgram(prog)[2000:] // phase 2 half
 	}
 	a := mk(0.1)
 	b := mk(0.7)
@@ -315,28 +277,14 @@ func TestPhaseStreamIsolation(t *testing.T) {
 	}
 }
 
-func TestSpecAccessors(t *testing.T) {
-	prog, err := Compile(simpleSpec("w", 100))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if prog.PhaseCount() != 1 {
-		t.Fatalf("PhaseCount = %d", prog.PhaseCount())
-	}
-	if prog.Spec().Name != "w" {
-		t.Fatal("Spec copy wrong")
-	}
-}
-
-func BenchmarkProgramNext(b *testing.B) {
+func BenchmarkProgramNextBatch(b *testing.B) {
 	prog, err := Compile(simpleSpec("bench", uint64(b.N)+1))
 	if err != nil {
 		b.Fatal(err)
 	}
-	var in uarch.Instr
+	buf := make([]uarch.Instr, 4096)
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		prog.Next(&in)
+	for prog.NextBatch(buf) == len(buf) {
 	}
 }
 

@@ -57,17 +57,7 @@ func chaseGensOf(pr *Program) []*chaseGen {
 	return out
 }
 
-func drainProgram(pr *Program) []uarch.Instr {
-	var out []uarch.Instr
-	buf := make([]uarch.Instr, 512)
-	for {
-		n := pr.NextBatch(buf)
-		if n == 0 {
-			return out
-		}
-		out = append(out, buf[:n]...)
-	}
-}
+func drainProgram(pr *Program) []uarch.Instr { return drainChunked(pr, 512) }
 
 // TestReleasedTableReuseKeepsStream compiles a program on a table another
 // program used and released: whatever that table held, the instruction
@@ -144,34 +134,6 @@ func TestReleaseReturnsEveryTable(t *testing.T) {
 		}
 	}()
 	drainProgram(pr)
-}
-
-func TestResetAfterRelease(t *testing.T) {
-	pr, err := Compile(chaseSpec(9, 128<<10))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := drainProgram(pr)
-	pr.Release()
-	pr.Reset()
-	got := drainProgram(pr)
-	if len(got) != len(want) {
-		t.Fatalf("%d instructions after Reset, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("instruction %d after Release+Reset = %+v, want %+v", i, got[i], want[i])
-		}
-	}
-	// Reset also releases the tables it replaces.
-	old := chaseGensOf(pr)
-	pr.Reset()
-	for i, g := range old {
-		if g.next != nil {
-			t.Fatalf("Reset kept chase generator %d's table", i)
-		}
-	}
-	pr.Release()
 }
 
 // emptyChaseTables drops every idle chase table, so the next compiles
