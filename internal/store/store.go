@@ -85,8 +85,10 @@ func Open(dir string) (*Store, error) {
 			// every complete line around it is still valid JSON.
 			continue
 		}
-		if rec.Key == "" || rec.Set.Validate() != nil {
-			continue // unknown schema: keep the bytes, skip the record
+		if rec.Key == "" || rec.At == "" || rec.Set.Validate() != nil {
+			// Unknown schema, or a record Apply could not replicate: keep
+			// the bytes, skip the record.
+			continue
 		}
 		st.add(rec)
 	}

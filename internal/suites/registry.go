@@ -134,13 +134,3 @@ func ByName(name string, cfg Config) (Suite, error) {
 	}
 	return Suite{}, fmt.Errorf("suites: unknown suite %q (registered: %s)", name, NameList())
 }
-
-// SpecByName returns the named suite's declarative spec.
-func SpecByName(name string) (*SuiteSpec, bool) {
-	for _, e := range registry {
-		if e.name == name {
-			return e.spec, true
-		}
-	}
-	return nil, false
-}

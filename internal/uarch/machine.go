@@ -129,15 +129,21 @@ type Machine struct {
 
 // NewMachine builds a machine from a config.
 func NewMachine(cfg MachineConfig) (*Machine, error) {
+	l3, err := NewCache(cfg.L3)
+	if err != nil {
+		return nil, err
+	}
+	return newMachine(cfg, l3)
+}
+
+// newMachine builds a machine around the given L3, which MultiCore
+// shares between its cores.
+func newMachine(cfg MachineConfig, l3 *Cache) (*Machine, error) {
 	l1, err := NewCache(cfg.L1)
 	if err != nil {
 		return nil, err
 	}
 	l2, err := NewCache(cfg.L2)
-	if err != nil {
-		return nil, err
-	}
-	l3, err := NewCache(cfg.L3)
 	if err != nil {
 		return nil, err
 	}
@@ -167,9 +173,15 @@ func NewMachine(cfg MachineConfig) (*Machine, error) {
 // Reset restores the machine to power-on state (cold caches, cold TLB,
 // reset predictor, no touched pages).
 func (m *Machine) Reset() {
+	m.l3.Reset()
+	m.resetCore()
+}
+
+// resetCore resets everything but the L3, which MultiCore resets once
+// for all its cores.
+func (m *Machine) resetCore() {
 	m.l1.Reset()
 	m.l2.Reset()
-	m.l3.Reset()
 	m.tlb.Reset()
 	m.bp.Reset()
 	m.touched.reset()

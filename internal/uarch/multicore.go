@@ -35,12 +35,10 @@ func NewMultiCore(cfg MachineConfig, n int) (*MultiCore, error) {
 	}
 	mc := &MultiCore{cfg: cfg, l3: shared}
 	for i := 0; i < n; i++ {
-		m, err := NewMachine(cfg)
+		m, err := newMachine(cfg, shared)
 		if err != nil {
 			return nil, err
 		}
-		// Replace the private L3 with the shared one.
-		m.l3 = shared
 		mc.cores = append(mc.cores, m)
 	}
 	return mc, nil
@@ -52,7 +50,7 @@ func (mc *MultiCore) Cores() int { return len(mc.cores) }
 // Reset restores power-on state on every core and the shared L3.
 func (mc *MultiCore) Reset() {
 	for _, c := range mc.cores {
-		c.Reset() // resets the shared L3 repeatedly; idempotent
+		c.resetCore()
 	}
 	mc.l3.Reset()
 }

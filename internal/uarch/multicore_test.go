@@ -1,6 +1,7 @@
 package uarch
 
 import (
+	"runtime"
 	"testing"
 
 	"perspector/internal/perf"
@@ -219,4 +220,37 @@ func BenchmarkMultiCore4(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// allocatedBytes returns the heap bytes fn allocates.
+func allocatedBytes(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestMultiCoreAllocatesOneL3 requires NewMultiCore to build its cores
+// around the shared L3: each core past the first may add its private
+// state, but not the bytes of an L3 of its own.
+func TestMultiCoreAllocatesOneL3(t *testing.T) {
+	cfg := DefaultMachineConfig()
+	newMC := func(n int) func() {
+		return func() {
+			if _, err := NewMultiCore(cfg, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	l3 := allocatedBytes(func() {
+		if _, err := NewCache(cfg.L3); err != nil {
+			t.Fatal(err)
+		}
+	})
+	one, four := allocatedBytes(newMC(1)), allocatedBytes(newMC(4))
+	if perCore := (four - one) / 3; perCore >= l3 {
+		t.Fatalf("each extra core allocates %d bytes, at least an L3's %d", perCore, l3)
+	}
+	t.Logf("L3 %d bytes; NewMultiCore 1 core %d, 4 cores %d", l3, one, four)
 }

@@ -69,15 +69,6 @@ const (
 	kindAlternating  = "alternating"
 )
 
-// PatternKinds returns the registered generator kind tags, in the order
-// they are documented.
-func PatternKinds() []string {
-	return []string{
-		kindSequential, kindStreams, kindRandom, kindZipf,
-		kindPointerChase, kindHotCold, kindAlternating,
-	}
-}
-
 // Per-kind parameter blocks. Each embeds its kind tag so one strict
 // decode of the full struct both dispatches and rejects unknown fields.
 type sequentialJSON struct {
