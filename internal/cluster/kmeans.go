@@ -10,7 +10,6 @@ import (
 	"math"
 
 	"perspector/internal/mat"
-	"perspector/internal/par"
 	"perspector/internal/rng"
 )
 
@@ -22,8 +21,22 @@ type KMeansResult struct {
 	Centroids [][]float64
 	// Inertia is the total within-cluster sum of squared distances.
 	Inertia float64
-	// Iterations is the number of Lloyd iterations of the best restart.
+	// Iterations is the number of Lloyd iterations of the best restart,
+	// counting the ones a cycle fast-forward skipped.
 	Iterations int
+	// Work counts the call's work over all its restarts.
+	Work KMeansWork
+}
+
+// KMeansWork is the exact work of one KMeans call.
+type KMeansWork struct {
+	// Restarts is the number of k-means++ initializations run.
+	Restarts int
+	// Iters counts the Lloyd iterations actually run.
+	Iters int
+	// ItersSkipped counts the iterations a cycle fast-forward jumped
+	// over; Iters+ItersSkipped is what the plain loop would run.
+	ItersSkipped int
 }
 
 // KMeansOptions configures KMeans. The zero value is not valid; use
@@ -46,112 +59,195 @@ func DefaultKMeansOptions(seed uint64) KMeansOptions {
 }
 
 // KMeans clusters the rows of x into k clusters. It returns an error when
-// k is out of range (k < 1 or k > number of rows).
+// k is out of range (k < 1 or k > number of rows) or x holds a NaN or an
+// infinity. Callers that cluster the same points many times should build
+// the squared-distance matrix once and call KMeansSq.
 func KMeans(x *mat.Matrix, k int, opts KMeansOptions) (*KMeansResult, error) {
-	n := x.Rows()
+	return KMeansSq(x, SqDistances(x), k, opts)
+}
+
+// KMeansSq is KMeans on x with its squared-distance matrix sq, as built
+// by SqDistances. The restarts run serially on one scratch buffer, and a
+// restart is copied out only when its inertia is strictly lower than the
+// best so far, so the earliest restart with the minimal inertia wins.
+// Callers parallelize across calls: the ClusterScore sweep runs one call
+// per k on the worker pool.
+func KMeansSq(x *mat.Matrix, sq [][]float64, k int, opts KMeansOptions) (*KMeansResult, error) {
+	n, d := x.Rows(), x.Cols()
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("cluster: KMeans k=%d out of range for %d points", k, n)
 	}
 	if opts.MaxIter <= 0 || opts.Restarts <= 0 {
 		return nil, fmt.Errorf("cluster: KMeans needs positive MaxIter and Restarts")
 	}
-	// Pre-split one child source per restart, exactly as the serial loop
-	// would have (Split is a pure function of parent state), then run the
-	// restarts in parallel and reduce in restart order: the winner is the
-	// earliest restart with the minimal inertia, bit-identical to the
-	// serial "replace only on strictly lower" scan at any worker count.
-	src := rng.New(opts.Seed)
-	srcs := make([]*rng.Source, opts.Restarts)
-	for r := range srcs {
-		srcs[r] = src.Split()
+	if len(sq) != n {
+		return nil, fmt.Errorf("cluster: KMeans got a %d-row distance matrix for %d points", len(sq), n)
 	}
-	results := make([]*KMeansResult, opts.Restarts)
-	par.Do(opts.Restarts, func(_, r int) {
-		results[r] = kmeansOnce(x, k, opts, srcs[r])
-	})
-	best := results[0]
-	for _, res := range results[1:] {
-		if res.Inertia < best.Inertia {
-			best = res
+	// The lookups into sq decide exactly as the bounded distances they
+	// replace only when no distance is NaN, which finite points guarantee.
+	for i := 0; i < n; i++ {
+		for _, v := range x.RowView(i) {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("cluster: KMeans point %d has a non-finite coordinate", i)
+			}
 		}
 	}
+	s := &kmeansScratch{
+		x: x, sq: sq, k: k, d: d, opts: opts,
+		labels:  make([]int, n),
+		counts:  make([]int, k),
+		seeds:   make([]int, k),
+		minDist: make([]float64, n),
+		cent:    make([]float64, k*d),
+		next:    make([]float64, k*d),
+		snap:    make([]float64, k*d),
+	}
+	best := &KMeansResult{Labels: make([]int, n), Centroids: make([][]float64, k)}
+	bestCent := make([]float64, k*d)
+	for c := range best.Centroids {
+		best.Centroids[c] = bestCent[c*d : (c+1)*d : (c+1)*d]
+	}
+	src := rng.New(opts.Seed)
+	for r := 0; r < opts.Restarts; r++ {
+		inertia, iters := s.run(src.Split())
+		if r == 0 || inertia < best.Inertia {
+			copy(best.Labels, s.labels)
+			copy(bestCent, s.cent)
+			best.Inertia, best.Iterations = inertia, iters
+		}
+	}
+	best.Work = KMeansWork{Restarts: opts.Restarts, Iters: s.iters, ItersSkipped: s.skipped}
 	return best, nil
 }
 
-func kmeansOnce(x *mat.Matrix, k int, opts KMeansOptions, src *rng.Source) *KMeansResult {
-	n, d := x.Rows(), x.Cols()
-	centroids := seedPlusPlus(x, k, src)
-	labels := make([]int, n)
-	counts := make([]int, k)
-	newCentroids := make([][]float64, k)
-	for c := range newCentroids {
-		newCentroids[c] = make([]float64, d)
-	}
+// kmeansScratch is one KMeansSq call's state, reused by every restart.
+// Centroid c is cent[c*d:(c+1)*d].
+type kmeansScratch struct {
+	x    *mat.Matrix
+	sq   [][]float64
+	k, d int
+	opts KMeansOptions
 
-	iterations := 0
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	labels  []int
+	counts  []int
+	seeds   []int     // the k-means++ centers, as point indices
+	minDist []float64 // k-means++ squared distance to the nearest center
+	cent    []float64 // centroids at the start of an iteration
+	next    []float64 // centroids the iteration computes
+	snap    []float64 // cycle-detection snapshot of cent
+
+	iters, skipped int
+}
+
+func (s *kmeansScratch) centroid(c int) []float64 { return s.cent[c*s.d : (c+1)*s.d] }
+
+// run performs one restart and returns its inertia and iteration count;
+// its labels and centroids are left in s.labels and s.cent.
+//
+// An iteration's result is a function of the centroid bits at its start
+// alone: it rewrites every label, count and new centroid. So once those
+// bits repeat without the Tol break firing, the loop is periodic and can
+// never converge. The loop snapshots the centroids at iterations 0, 1, 2,
+// 4, 8, … (Brent's cycle detection) and compares each later start with
+// the snapshot; on a match it skips whole periods, leaving at least one
+// iteration to run, so the final labels and centroids and the iteration
+// count are those of the plain loop.
+func (s *kmeansScratch) run(src *rng.Source) (inertia float64, iterations int) {
+	x, k, d, n := s.x, s.k, s.d, s.x.Rows()
+	s.seedPlusPlus(src)
+	for c, p := range s.seeds {
+		copy(s.centroid(c), x.RowView(p))
+	}
+	labels, counts, cent, next := s.labels, s.counts, s.cent, s.next
+
+	snapAt := 0
+	for iter := 0; iter < s.opts.MaxIter; iter++ {
+		if iter > 0 && sameBits(cent, s.snap) {
+			period := iter - snapAt
+			jump := (s.opts.MaxIter - iter - 1) / period * period
+			iter += jump
+			s.skipped += jump
+		} else if iter&(iter-1) == 0 { // iter is 0 or a power of two
+			copy(s.snap, cent)
+			snapAt = iter
+		}
 		iterations = iter + 1
-		// Assignment step. The bounded distance bails out as soon as the
-		// partial sum reaches the incumbent best: squares are non-negative
-		// and float addition of non-negatives is monotone, so a bailed
-		// candidate could never have won the strict `<` — the labels are
-		// bit-identical to the exhaustive scan.
-		for i := 0; i < n; i++ {
-			row := x.RowView(i)
-			bestC, bestD := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				if dd, ok := sqDistBounded(row, centroids[c], bestD); ok {
-					bestD = dd
-					bestC = c
+		s.iters++
+		// Assignment step. On the first pass every centroid is still the
+		// data point it was seeded at, so the squared distances are
+		// lookups. Later passes use the bounded distance, which bails out
+		// as soon as the partial sum reaches the incumbent best: squares
+		// are non-negative and float addition of non-negatives is
+		// monotone, so a bailed candidate could never have won the strict
+		// `<`. Either way the labels are bit-identical to the exhaustive
+		// scan.
+		if iter == 0 {
+			for i := 0; i < n; i++ {
+				row := s.sq[i]
+				bestC, bestD := 0, math.Inf(1)
+				for c, p := range s.seeds {
+					if dd := row[p]; dd < bestD {
+						bestD = dd
+						bestC = c
+					}
 				}
+				labels[i] = bestC
 			}
-			labels[i] = bestC
+		} else {
+			for i := 0; i < n; i++ {
+				row := x.RowView(i)
+				bestC, bestD := 0, math.Inf(1)
+				for c := 0; c < k; c++ {
+					if dd, ok := sqDistBounded(row, s.centroid(c), bestD); ok {
+						bestD = dd
+						bestC = c
+					}
+				}
+				labels[i] = bestC
+			}
 		}
 		// Update step.
-		for c := 0; c < k; c++ {
-			counts[c] = 0
-			for j := 0; j < d; j++ {
-				newCentroids[c][j] = 0
-			}
-		}
+		clear(counts)
+		clear(next)
 		for i := 0; i < n; i++ {
 			c := labels[i]
 			counts[c]++
-			row := x.RowView(i)
-			for j := 0; j < d; j++ {
-				newCentroids[c][j] += row[j]
+			nc := next[c*d : (c+1)*d]
+			for j, v := range x.RowView(i) {
+				nc[j] += v
 			}
 		}
 		for c := 0; c < k; c++ {
+			nc := next[c*d : (c+1)*d]
 			if counts[c] == 0 {
 				// Re-seed an empty cluster at the point farthest from its
 				// centroid, the standard fix that keeps k clusters alive.
 				far, farD := 0, -1.0
 				for i := 0; i < n; i++ {
-					if dd := sqDist(x.RowView(i), centroids[labels[i]]); dd > farD {
+					if dd := sqDist(x.RowView(i), s.centroid(labels[i])); dd > farD {
 						farD = dd
 						far = i
 					}
 				}
-				copy(newCentroids[c], x.RowView(far))
+				copy(nc, x.RowView(far))
 				counts[c] = 1
 				labels[far] = c
 				continue
 			}
 			inv := 1 / float64(counts[c])
-			for j := 0; j < d; j++ {
-				newCentroids[c][j] *= inv
+			for j := range nc {
+				nc[j] *= inv
 			}
 		}
 		// Convergence check.
 		maxMove := 0.0
 		for c := 0; c < k; c++ {
-			if mv := math.Sqrt(sqDist(centroids[c], newCentroids[c])); mv > maxMove {
+			if mv := math.Sqrt(sqDist(s.centroid(c), next[c*d:(c+1)*d])); mv > maxMove {
 				maxMove = mv
 			}
-			copy(centroids[c], newCentroids[c])
 		}
-		if maxMove <= opts.Tol {
+		copy(cent, next)
+		if maxMove <= s.opts.Tol {
 			break
 		}
 	}
@@ -159,9 +255,7 @@ func kmeansOnce(x *mat.Matrix, k int, opts KMeansOptions, src *rng.Source) *KMea
 	// The loop's final assignment pass may have drained a cluster that the
 	// update-step repair had refilled. Guarantee every cluster is
 	// non-empty: silhouette (and any sane consumer) requires it.
-	for c := 0; c < k; c++ {
-		counts[c] = 0
-	}
+	clear(counts)
 	for _, l := range labels {
 		counts[l]++
 	}
@@ -174,7 +268,7 @@ func kmeansOnce(x *mat.Matrix, k int, opts KMeansOptions, src *rng.Source) *KMea
 			if counts[labels[i]] <= 1 {
 				continue
 			}
-			if dd := sqDist(x.RowView(i), centroids[labels[i]]); dd > farD {
+			if dd := sqDist(x.RowView(i), s.centroid(labels[i])); dd > farD {
 				farD = dd
 				far = i
 			}
@@ -185,37 +279,26 @@ func kmeansOnce(x *mat.Matrix, k int, opts KMeansOptions, src *rng.Source) *KMea
 		counts[labels[far]]--
 		labels[far] = c
 		counts[c] = 1
-		copy(centroids[c], x.RowView(far))
+		copy(s.centroid(c), x.RowView(far))
 	}
 
-	inertia := 0.0
 	for i := 0; i < n; i++ {
-		inertia += sqDist(x.RowView(i), centroids[labels[i]])
+		inertia += sqDist(x.RowView(i), s.centroid(labels[i]))
 	}
-	out := &KMeansResult{
-		Labels:     append([]int(nil), labels...),
-		Centroids:  make([][]float64, k),
-		Inertia:    inertia,
-		Iterations: iterations,
-	}
-	for c := range centroids {
-		out.Centroids[c] = append([]float64(nil), centroids[c]...)
-	}
-	return out
+	return inertia, iterations
 }
 
-// seedPlusPlus implements k-means++ initialization.
-func seedPlusPlus(x *mat.Matrix, k int, src *rng.Source) [][]float64 {
-	n, d := x.Rows(), x.Cols()
-	centroids := make([][]float64, 0, k)
+// seedPlusPlus implements k-means++ initialization, choosing s.seeds.
+// Every center is a data point, so the distance to it is a lookup into
+// s.sq; sq[i][p] < minDist[i] holds exactly when the bounded distance
+// to a copy of point p completes below minDist[i] (see sqDistBounded).
+func (s *kmeansScratch) seedPlusPlus(src *rng.Source) {
+	n := len(s.sq)
+	minDist := s.minDist
 	first := src.Intn(n)
-	centroids = append(centroids, append([]float64(nil), x.RowView(first)...))
-
-	minDist := make([]float64, n)
-	for i := range minDist {
-		minDist[i] = sqDist(x.RowView(i), centroids[0])
-	}
-	for len(centroids) < k {
+	s.seeds[0] = first
+	copy(minDist, s.sq[first])
+	for m := 1; m < s.k; m++ {
 		total := 0.0
 		for _, dd := range minDist {
 			total += dd
@@ -236,16 +319,23 @@ func seedPlusPlus(x *mat.Matrix, k int, src *rng.Source) [][]float64 {
 				}
 			}
 		}
-		c := append([]float64(nil), x.RowView(chosen)...)
-		centroids = append(centroids, c)
-		for i := 0; i < n; i++ {
-			if dd, ok := sqDistBounded(x.RowView(i), c, minDist[i]); ok {
+		s.seeds[m] = chosen
+		for i, dd := range s.sq[chosen] {
+			if dd < minDist[i] {
 				minDist[i] = dd
 			}
 		}
 	}
-	_ = d
-	return centroids
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 func sqDist(a, b []float64) float64 {
@@ -264,7 +354,8 @@ func sqDist(a, b []float64) float64 {
 // partial sums are monotone: a pruned pair is guaranteed to satisfy
 // sqDist(a, b) >= bound. ok reports that the full distance was computed
 // and is strictly below bound — when true, d is bit-identical to
-// sqDist(a, b).
+// sqDist(a, b). So for a pair without NaN, ok is exactly
+// sqDist(a, b) < bound, the comparison the k-means lookups make.
 func sqDistBounded(a, b []float64, bound float64) (d float64, ok bool) {
 	sum := 0.0
 	for i := range a {

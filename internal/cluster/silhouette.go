@@ -2,31 +2,47 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"perspector/internal/mat"
-	"perspector/internal/par"
 )
 
-// DistanceMatrix returns the full n×n Euclidean distance matrix of the
-// rows of x, computed once so that consumers sweeping over many
-// clusterings of the same points (the ClusterScore's k in [2, n−1]) stop
-// redoing the O(n²) distance work per call. Rows are filled in parallel;
-// every entry is written exactly once, so the result is deterministic.
-func DistanceMatrix(x *mat.Matrix) [][]float64 {
+// SqDistances returns the n×n matrix of squared Euclidean distances
+// between the rows of x, accumulated in sqDist's order. Every consumer of
+// one point set shares it: k-means++ seeding and the first Lloyd pass
+// look distances up instead of recomputing them, and Distances turns it
+// into the silhouette's matrix. sq[i][j] and sq[j][i] are one value: a
+// difference and its negation square to the same bits.
+func SqDistances(x *mat.Matrix) [][]float64 {
 	n := x.Rows()
-	dist := make([][]float64, n)
-	for i := range dist {
-		dist[i] = make([]float64, n)
+	flat := make([]float64, n*n)
+	sq := make([][]float64, n)
+	for i := range sq {
+		sq[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
-	// Row i computes its upper-triangle tail; the mirror write to
-	// dist[j][i] targets a distinct cell, so rows are independent.
-	par.Do(n, func(_, i int) {
+	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			d := mat.Dist(x.RowView(i), x.RowView(j))
-			dist[i][j] = d
-			dist[j][i] = d
+			d := sqDist(x.RowView(i), x.RowView(j))
+			sq[i][j] = d
+			sq[j][i] = d
 		}
-	})
+	}
+	return sq
+}
+
+// Distances returns the Euclidean distance matrix for a squared-distance
+// matrix from SqDistances. math.Sqrt is correctly rounded, so each entry
+// has the bits mat.Dist returns for the pair.
+func Distances(sq [][]float64) [][]float64 {
+	n := len(sq)
+	flat := make([]float64, n*n)
+	dist := make([][]float64, n)
+	for i, row := range sq {
+		dist[i] = flat[i*n : (i+1)*n : (i+1)*n]
+		for j, v := range row {
+			dist[i][j] = math.Sqrt(v)
+		}
+	}
 	return dist
 }
 
@@ -46,14 +62,13 @@ func DistanceMatrix(x *mat.Matrix) [][]float64 {
 // must be non-empty.
 //
 // Silhouette recomputes the pairwise distances on every call; sweeps over
-// k should build the matrix once with DistanceMatrix and call
-// SilhouetteDist.
+// k should build the matrix once with Distances and call SilhouetteDist.
 func Silhouette(x *mat.Matrix, labels []int, k int) (float64, error) {
-	return SilhouetteDist(DistanceMatrix(x), labels, k)
+	return SilhouetteDist(Distances(SqDistances(x)), labels, k)
 }
 
 // SilhouetteDist is Silhouette on a precomputed pairwise distance matrix
-// (e.g. from DistanceMatrix): dist[i][j] is the distance between points i
+// (e.g. from Distances): dist[i][j] is the distance between points i
 // and j. This is the form the over-k sweep uses so the O(n²) distance
 // work happens once per sweep instead of once per k.
 func SilhouetteDist(dist [][]float64, labels []int, k int) (float64, error) {

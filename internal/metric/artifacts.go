@@ -32,7 +32,7 @@ const staleVer = ^uint64(0)
 // time-series caches update in place — the per-workload normalized
 // series and the pairwise-DTW matrix recompute just the entries touching
 // a changed series. Everything derived from the counter totals (the raw
-// and own-normalized matrices, the distance matrix) is dropped on any
+// and own-normalized matrices, the distance matrices) is dropped on any
 // totals change and rebuilt lazily by the batch code: a totals change
 // reruns the k-means sweep anyway, next to which those rebuilds are
 // free, and one code path keeps the results bit-identical by
@@ -57,6 +57,7 @@ type Artifacts struct {
 
 	raw     *mat.Matrix
 	ownNorm *mat.Matrix
+	sq      [][]float64
 	dist    [][]float64
 
 	// seriesVer[i] counts sample appends to workload i's series; the
@@ -186,11 +187,21 @@ func (a *Artifacts) OwnNorm() *mat.Matrix {
 	return a.ownNorm
 }
 
-// Dist returns the pairwise Euclidean distance matrix over OwnNorm; one
-// O(n²) computation serves every silhouette of the k-means sweep.
+// SqDist returns the pairwise squared Euclidean distance matrix over
+// OwnNorm; one O(n²) computation serves k-means++ seeding and the first
+// Lloyd pass of every k-means in the sweep, and Dist.
+func (a *Artifacts) SqDist() [][]float64 {
+	if a.sq == nil {
+		a.sq = cluster.SqDistances(a.OwnNorm())
+	}
+	return a.sq
+}
+
+// Dist returns the pairwise Euclidean distance matrix over OwnNorm, the
+// square roots of SqDist, for every silhouette of the k-means sweep.
 func (a *Artifacts) Dist() [][]float64 {
 	if a.dist == nil {
-		a.dist = cluster.DistanceMatrix(a.OwnNorm())
+		a.dist = cluster.Distances(a.SqDist())
 	}
 	return a.dist
 }
@@ -460,7 +471,7 @@ func (a *Artifacts) appendSamples(idx int, delta perf.Values, samples *perf.Time
 // the batch code path.
 func (a *Artifacts) totalsChanged() {
 	a.totalsVer++
-	a.raw, a.ownNorm, a.dist = nil, nil, nil
+	a.raw, a.ownNorm, a.sq, a.dist = nil, nil, nil, nil
 }
 
 // ensureScratch grows the per-worker DTW scratch table to at least n

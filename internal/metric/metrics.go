@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"perspector/internal/cluster"
+	"perspector/internal/obs"
 	"perspector/internal/par"
 	"perspector/internal/pca"
 	"perspector/internal/rng"
@@ -66,18 +67,21 @@ func (clusterMetric) Compute(ctx context.Context, a *Artifacts) (float64, error)
 		return 0, nil
 	}
 	x := a.OwnNorm()
-	// One O(n²) distance matrix serves every silhouette of the sweep.
-	dist := a.Dist()
+	// One O(n²) squared-distance matrix serves every k-means of the
+	// sweep, and its square roots every silhouette.
+	sq, dist := a.SqDist(), a.Dist()
 	ks := n - 2 // k in [2, n-1]
 	sils := make([]float64, ks)
+	work := make([]cluster.KMeansWork, ks)
 	err := par.DoErr(ctx, ks, func(_, i int) error {
 		k := i + 2
 		km := cluster.DefaultKMeansOptions(rng.ChildSeed(a.Opts.KMeansSeed, k))
 		km.Restarts = a.Opts.KMeansRestarts
-		res, err := cluster.KMeans(x, k, km)
+		res, err := cluster.KMeansSq(x, sq, k, km)
 		if err != nil {
 			return fmt.Errorf("metric: ClusterScore k=%d: %w", k, err)
 		}
+		work[i] = res.Work
 		// k-means can return fewer than k distinct labels only via the
 		// empty-cluster repair, which guarantees non-empty clusters; the
 		// silhouette is computed over exactly k clusters.
@@ -88,6 +92,17 @@ func (clusterMetric) Compute(ctx context.Context, a *Artifacts) (float64, error)
 		sils[i] = s
 		return nil
 	})
+	// Report the work of every k-means that ran, on failure too.
+	var total cluster.KMeansWork
+	for _, w := range work {
+		total.Restarts += w.Restarts
+		total.Iters += w.Iters
+		total.ItersSkipped += w.ItersSkipped
+	}
+	rec := obs.FromContext(ctx)
+	rec.Count(obs.CounterKMeansRestarts, int64(total.Restarts))
+	rec.Count(obs.CounterKMeansIters, int64(total.Iters))
+	rec.Count(obs.CounterKMeansItersSkipped, int64(total.ItersSkipped))
 	if err != nil {
 		return 0, err
 	}

@@ -60,6 +60,15 @@ const (
 	CounterDTWCells       = "dtw.cells"
 )
 
+// Names of the cluster stage's work counters (the ClusterScore k-means
+// sweep): k-means++ restarts, Lloyd iterations run over all restarts,
+// and iterations a cycle fast-forward skipped.
+const (
+	CounterKMeansRestarts     = "kmeans.restarts"
+	CounterKMeansIters        = "kmeans.iters"
+	CounterKMeansItersSkipped = "kmeans.iters_skipped"
+)
+
 // maxAttrs is the per-span attribute capacity. Spans carry a small fixed
 // set (suite, workload, metric, cache verdict); overflow is dropped
 // rather than allocated.

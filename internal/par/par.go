@@ -2,8 +2,8 @@
 // worker pool sized from runtime.NumCPU with deterministic, ordered task
 // dispatch and context cancellation.
 //
-// Every hot path in the scoring engine (pairwise DTW, k-means restarts,
-// the silhouette k-sweep, per-suite fan-out, suite simulation) funnels
+// Every hot path in the scoring engine (pairwise DTW, the k-means and
+// silhouette k-sweep, per-suite fan-out, suite simulation) funnels
 // through Do/DoErr. Two properties make the layer safe for numerics:
 //
 //   - Tasks are indexed. Each task writes only its own result slot, and

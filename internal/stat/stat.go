@@ -39,21 +39,6 @@ func Variance(xs []float64) float64 {
 	return sum / float64(n-1)
 }
 
-// PopVariance returns the population variance (n denominator) of xs.
-func PopVariance(xs []float64) float64 {
-	n := len(xs)
-	if n == 0 {
-		return 0
-	}
-	mean := Mean(xs)
-	sum := 0.0
-	for _, x := range xs {
-		d := x - mean
-		sum += d * d
-	}
-	return sum / float64(n)
-}
-
 // StdDev returns the sample standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
@@ -112,21 +97,6 @@ func NormalizeWith(xs []float64, min, max float64) []float64 {
 			v = 1
 		}
 		out[i] = v
-	}
-	return out
-}
-
-// ZScore standardizes xs to zero mean and unit sample variance. A constant
-// input maps to all zeros.
-func ZScore(xs []float64) []float64 {
-	out := make([]float64, len(xs))
-	sd := StdDev(xs)
-	if sd == 0 {
-		return out
-	}
-	mean := Mean(xs)
-	for i, x := range xs {
-		out[i] = (x - mean) / sd
 	}
 	return out
 }
@@ -342,34 +312,4 @@ func Pearson(xs, ys []float64) float64 {
 		return 0
 	}
 	return sxy / math.Sqrt(sxx*syy)
-}
-
-// Spearman returns the Spearman rank correlation of two equal-length
-// samples: Pearson over the rank transforms, robust to monotone
-// nonlinearity. Ties receive their mid-rank.
-func Spearman(xs, ys []float64) float64 {
-	return Pearson(ranks(xs), ranks(ys))
-}
-
-// ranks returns mid-rank transformed values.
-func ranks(xs []float64) []float64 {
-	n := len(xs)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		for j+1 < n && xs[idx[j+1]] == xs[idx[i]] {
-			j++
-		}
-		mid := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[idx[k]] = mid
-		}
-		i = j + 1
-	}
-	return out
 }

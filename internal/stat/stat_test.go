@@ -29,12 +29,6 @@ func TestVariance(t *testing.T) {
 	}
 }
 
-func TestPopVariance(t *testing.T) {
-	if v := PopVariance([]float64{1, 2, 3, 4}); !almostEq(v, 1.25, 1e-12) {
-		t.Fatalf("PopVariance = %v, want 1.25", v)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	min, max := MinMax([]float64{3, -1, 7, 0})
 	if min != -1 || max != 7 {
@@ -98,24 +92,6 @@ func TestNormalizeWithPreservesRelativeRange(t *testing.T) {
 	}
 	if !almostEq(a[0], 0.1, 1e-12) {
 		t.Fatalf("a = %v, want 0.1", a[0])
-	}
-}
-
-func TestZScore(t *testing.T) {
-	out := ZScore([]float64{1, 2, 3, 4, 5})
-	if !almostEq(Mean(out), 0, 1e-12) {
-		t.Fatalf("ZScore mean = %v", Mean(out))
-	}
-	if !almostEq(Variance(out), 1, 1e-12) {
-		t.Fatalf("ZScore variance = %v", Variance(out))
-	}
-}
-
-func TestZScoreConstant(t *testing.T) {
-	for _, v := range ZScore([]float64{3, 3, 3}) {
-		if v != 0 {
-			t.Fatal("constant ZScore not zero")
-		}
 	}
 }
 
@@ -441,31 +417,6 @@ func sanitizeF(v float64) float64 {
 		return 0
 	}
 	return v
-}
-
-func TestSpearmanMonotone(t *testing.T) {
-	// Spearman sees a monotone nonlinear relation as perfect; Pearson
-	// does not.
-	xs := []float64{1, 2, 3, 4, 5, 6}
-	ys := make([]float64, len(xs))
-	for i, x := range xs {
-		ys[i] = math.Exp(x)
-	}
-	if r := Spearman(xs, ys); !almostEq(r, 1, 1e-12) {
-		t.Fatalf("Spearman = %v, want 1", r)
-	}
-	if r := Pearson(xs, ys); r > 0.999 {
-		t.Fatalf("Pearson %v should be below Spearman for convex data", r)
-	}
-}
-
-func TestSpearmanTies(t *testing.T) {
-	// Mid-rank tie handling keeps the coefficient defined and bounded.
-	xs := []float64{1, 1, 2, 2, 3}
-	ys := []float64{5, 5, 6, 6, 7}
-	if r := Spearman(xs, ys); !almostEq(r, 1, 1e-12) {
-		t.Fatalf("tied Spearman = %v, want 1", r)
-	}
 }
 
 func BenchmarkKSTwoSample(b *testing.B) {

@@ -158,7 +158,7 @@ func NewSuite(name string, workloads []Workload) (Suite, error) {
 }
 
 // SetWorkers bounds the library's internal parallelism (measurement
-// fan-out, pairwise DTW, k-means restarts, per-suite scoring) and returns
+// fan-out, pairwise DTW, the k-means sweep over k, per-suite scoring) and returns
 // the previous bound. n < 1 resets to runtime.NumCPU. Every result is
 // bit-identical at any worker count — parallel reductions happen in a
 // fixed serial order — so this trades only wall-clock time, never output.
