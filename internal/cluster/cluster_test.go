@@ -240,6 +240,27 @@ func TestSilhouetteSingletonClusters(t *testing.T) {
 	}
 }
 
+// TestSilhouetteDistPairs checks the distance reads SilhouetteDist
+// reports: n−1 for each point outside a singleton cluster, none at k=1.
+func TestSilhouetteDistPairs(t *testing.T) {
+	x, _ := twoBlobs(5, 4) // 8 points
+	dist := Distances(SqDistances(x))
+	for _, tc := range []struct {
+		labels []int
+		k      int
+		want   int
+	}{
+		{[]int{0, 0, 0, 0, 0, 0, 0, 0}, 1, 0},
+		{[]int{0, 0, 0, 0, 1, 1, 1, 1}, 2, 8 * 7},
+		{[]int{0, 1, 1, 1, 1, 1, 1, 2}, 3, 6 * 7},
+		{[]int{0, 1, 2, 3, 4, 5, 6, 6}, 7, 2 * 7},
+	} {
+		if _, got, err := SilhouetteDist(dist, tc.labels, tc.k); err != nil || got != tc.want {
+			t.Errorf("labels %v: %d pairs (err %v), want %d", tc.labels, got, err, tc.want)
+		}
+	}
+}
+
 func TestSilhouetteLabelRenumberingInvariant(t *testing.T) {
 	// Swapping cluster ids must not change the score.
 	x, truth := twoBlobs(11, 8)

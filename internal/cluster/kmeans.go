@@ -71,8 +71,24 @@ func KMeans(x *mat.Matrix, k int, opts KMeansOptions) (*KMeansResult, error) {
 // restart is copied out only when its inertia is strictly lower than the
 // best so far, so the earliest restart with the minimal inertia wins.
 // Callers parallelize across calls: the ClusterScore sweep runs one call
-// per k on the worker pool.
+// per k on the worker pool, each worker on its own KMeansScratch.
 func KMeansSq(x *mat.Matrix, sq [][]float64, k int, opts KMeansOptions) (*KMeansResult, error) {
+	return new(KMeansScratch).KMeansSq(x, sq, k, opts)
+}
+
+// KMeansScratch holds the buffers of KMeansSq calls, reused from one
+// call to the next: a sweep over k on one scratch allocates them once,
+// not once per k. The zero value is ready to use. A KMeansScratch is not
+// safe for concurrent use.
+type KMeansScratch struct {
+	s        kmeansScratch
+	best     KMeansResult
+	bestCent []float64
+}
+
+// KMeansSq is the package-level KMeansSq on the scratch's buffers. The
+// result is the scratch's own: it is valid until the next call.
+func (ks *KMeansScratch) KMeansSq(x *mat.Matrix, sq [][]float64, k int, opts KMeansOptions) (*KMeansResult, error) {
 	n, d := x.Rows(), x.Cols()
 	if k < 1 || k > n {
 		return nil, fmt.Errorf("cluster: KMeans k=%d out of range for %d points", k, n)
@@ -92,18 +108,24 @@ func KMeansSq(x *mat.Matrix, sq [][]float64, k int, opts KMeansOptions) (*KMeans
 			}
 		}
 	}
-	s := &kmeansScratch{
-		x: x, sq: sq, k: k, d: d, opts: opts,
-		labels:  make([]int, n),
-		counts:  make([]int, k),
-		seeds:   make([]int, k),
-		minDist: make([]float64, n),
-		cent:    make([]float64, k*d),
-		next:    make([]float64, k*d),
-		snap:    make([]float64, k*d),
-	}
-	best := &KMeansResult{Labels: make([]int, n), Centroids: make([][]float64, k)}
-	bestCent := make([]float64, k*d)
+	// Buffers sized by k get room for k = n, the largest valid k, so a
+	// sweep over k on one point set allocates them once.
+	s := &ks.s
+	s.x, s.sq, s.k, s.d, s.opts = x, sq, k, d, opts
+	s.labels = resize(s.labels, n, n)
+	s.counts = resize(s.counts, k, n)
+	s.seeds = resize(s.seeds, k, n)
+	s.minDist = resize(s.minDist, n, n)
+	s.cent = resize(s.cent, k*d, n*d)
+	s.next = resize(s.next, k*d, n*d)
+	s.snap = resize(s.snap, k*d, n*d)
+	s.iters, s.skipped = 0, 0
+
+	best := &ks.best
+	best.Labels = resize(best.Labels, n, n)
+	best.Centroids = resize(best.Centroids, k, n)
+	ks.bestCent = resize(ks.bestCent, k*d, n*d)
+	bestCent := ks.bestCent
 	for c := range best.Centroids {
 		best.Centroids[c] = bestCent[c*d : (c+1)*d : (c+1)*d]
 	}
@@ -120,7 +142,18 @@ func KMeansSq(x *mat.Matrix, sq [][]float64, k int, opts KMeansOptions) (*KMeans
 	return best, nil
 }
 
-// kmeansScratch is one KMeansSq call's state, reused by every restart.
+// resize returns buf resliced to length n, reallocated with capacity
+// c >= n only when its capacity is short. Every caller overwrites or
+// clears the contents.
+func resize[T any](buf []T, n, c int) []T {
+	if cap(buf) < n {
+		return make([]T, n, c)
+	}
+	return buf[:n]
+}
+
+// kmeansScratch is one KMeansSq call's state, reused by every restart
+// (and, through KMeansScratch, by later calls).
 // Centroid c is cent[c*d:(c+1)*d].
 type kmeansScratch struct {
 	x    *mat.Matrix

@@ -272,6 +272,27 @@ func TestKMeansMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
+// TestKMeansScratchReuse runs one KMeansScratch over a sequence of calls
+// whose point counts, dimensions and k rise and fall, so every buffer is
+// reused both larger and smaller than its last use: each result must be
+// the reference's.
+func TestKMeansScratchReuse(t *testing.T) {
+	var ks KMeansScratch
+	for seed := uint64(1); seed <= 40; seed++ {
+		n, d := 3+int(seed*7%14), 1+int(seed%4)
+		x := kmeansCase(seed, n, d, int(seed%3))
+		k := 1 + int(seed*5)%n
+		opts := KMeansOptions{MaxIter: 100, Restarts: 1 + int(seed%5), Tol: 1e-9, Seed: seed}
+		got, err := ks.KMeansSq(x, SqDistances(x), k, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameKMeansResult(got, kmeansReference(x, k, opts)); err != nil {
+			t.Fatalf("call %d (n=%d d=%d k=%d): %v", seed, n, d, k, err)
+		}
+	}
+}
+
 // FuzzKMeansVsReference holds KMeans to the reference on fuzzed small
 // point sets with duplicate rows, k up to n, and random iteration and
 // restart budgets.

@@ -64,35 +64,37 @@ func Distances(sq [][]float64) [][]float64 {
 // Silhouette recomputes the pairwise distances on every call; sweeps over
 // k should build the matrix once with Distances and call SilhouetteDist.
 func Silhouette(x *mat.Matrix, labels []int, k int) (float64, error) {
-	return SilhouetteDist(Distances(SqDistances(x)), labels, k)
+	s, _, err := SilhouetteDist(Distances(SqDistances(x)), labels, k)
+	return s, err
 }
 
 // SilhouetteDist is Silhouette on a precomputed pairwise distance matrix
 // (e.g. from Distances): dist[i][j] is the distance between points i
 // and j. This is the form the over-k sweep uses so the O(n²) distance
-// work happens once per sweep instead of once per k.
-func SilhouetteDist(dist [][]float64, labels []int, k int) (float64, error) {
+// work happens once per sweep instead of once per k. pairs counts the
+// distances it read: n−1 for each point outside a singleton cluster.
+func SilhouetteDist(dist [][]float64, labels []int, k int) (s float64, pairs int, err error) {
 	n := len(dist)
 	if len(labels) != n {
-		return 0, fmt.Errorf("cluster: Silhouette got %d labels for %d points", len(labels), n)
+		return 0, 0, fmt.Errorf("cluster: Silhouette got %d labels for %d points", len(labels), n)
 	}
 	if k < 1 {
-		return 0, fmt.Errorf("cluster: Silhouette with k=%d", k)
+		return 0, 0, fmt.Errorf("cluster: Silhouette with k=%d", k)
 	}
 	if k == 1 {
 		// Eq. 3: S(p) = 0 when k = 1.
-		return 0, nil
+		return 0, 0, nil
 	}
 	members := make([][]int, k)
 	for i, c := range labels {
 		if c < 0 || c >= k {
-			return 0, fmt.Errorf("cluster: label %d out of range [0,%d)", c, k)
+			return 0, 0, fmt.Errorf("cluster: label %d out of range [0,%d)", c, k)
 		}
 		members[c] = append(members[c], i)
 	}
 	for c, m := range members {
 		if len(m) == 0 {
-			return 0, fmt.Errorf("cluster: cluster %d is empty", c)
+			return 0, 0, fmt.Errorf("cluster: cluster %d is empty", c)
 		}
 	}
 
@@ -103,6 +105,8 @@ func SilhouetteDist(dist [][]float64, labels []int, k int) (float64, error) {
 		if len(members[own]) == 1 {
 			return 0
 		}
+		// η and λ below read p's distance to every other point once.
+		pairs += n - 1
 		eta := 0.0
 		for _, q := range members[own] {
 			if q != p {
@@ -148,5 +152,5 @@ func SilhouetteDist(dist [][]float64, labels []int, k int) (float64, error) {
 		}
 		total += clusterSum / float64(len(members[c]))
 	}
-	return total / float64(k), nil
+	return total / float64(k), pairs, nil
 }

@@ -35,7 +35,8 @@ import (
 // per worker.
 type Distancer struct {
 	prev, cur []float64
-	env, lim  []float64 // cost-to-go bound scratch (see limits)
+	lim       []float64 // cost-to-go bound scratch (see limits)
+	sa, sb    Series    // Distance's bound inputs, built per call
 	cum       []float64 // NormalizeSeries scratch
 
 	cells uint64 // DP cells evaluated since the last TakeWork
@@ -94,6 +95,70 @@ func (dz *Distancer) Distance(a, b []float64) float64 {
 	return d
 }
 
+// DistanceSeries is Distance on series whose bound inputs were built
+// beforehand: the trend stage keeps one Series per normalized series, so
+// each pair skips the per-series passes. It panics if either series is
+// empty.
+func (dz *Distancer) DistanceSeries(a, b *Series) float64 {
+	if len(a.x) == 0 || len(b.x) == 0 {
+		panic(fmt.Errorf("dtw: empty series (lengths %d, %d)", len(a.x), len(b.x)))
+	}
+	return dz.pruned(a, b)
+}
+
+// Series is a series together with the inputs of the pruned DP's
+// cost-to-go bound that depend on it alone (see limits): its running-max
+// envelope x⁺, its inversion depth δx = max_k (x⁺_k - x_k) and its
+// largest magnitude max_k |x_k|. The zero value is the empty series.
+type Series struct {
+	x      []float64
+	env    []float64 // x⁺; x itself when x is non-decreasing
+	depth  float64
+	absMax float64
+	buf    []float64 // env's storage when x is not non-decreasing
+}
+
+// Set makes s the series x, reusing s's envelope storage. The Series
+// reads x, which must not change while the Series is in use. A
+// non-decreasing x is its own envelope, so only a series with an
+// inversion needs storage of its own.
+func (s *Series) Set(x []float64) {
+	s.x, s.env, s.depth, s.absMax = x, x, 0, 0
+	n := len(x)
+	if n == 0 {
+		return
+	}
+	mx := x[0]
+	for _, v := range x {
+		if v > mx {
+			mx = v
+		}
+		if mx-v > s.depth {
+			s.depth = mx - v
+		}
+	}
+	if s.depth == 0 {
+		// Non-decreasing: the ends bound every |x_k|.
+		s.absMax = max(math.Abs(x[0]), math.Abs(x[n-1]))
+		return
+	}
+	if cap(s.buf) < n {
+		s.buf = make([]float64, n)
+	}
+	env := s.buf[:n]
+	mx = x[0]
+	for k, v := range x {
+		if v > mx {
+			mx = v
+		}
+		env[k] = mx
+		if a := math.Abs(v); a > s.absMax {
+			s.absMax = a
+		}
+	}
+	s.env = env
+}
+
 // DistanceBanded computes the (optionally Sakoe–Chiba-banded) DTW
 // distance on the Distancer's reusable buffers. Semantics match the
 // package-level DistanceBanded exactly.
@@ -107,7 +172,13 @@ func (dz *Distancer) DistanceBanded(a, b []float64, band int) (float64, error) {
 		return 0, fmt.Errorf("dtw: band %d narrower than length difference %d", band, abs(n-m))
 	}
 	if unbounded {
-		return dz.pruned(a, b), nil
+		dz.sa.Set(a)
+		dz.sb.Set(b)
+		d := dz.pruned(&dz.sa, &dz.sb)
+		// Drop the references to the caller's series.
+		dz.sa.Set(nil)
+		dz.sb.Set(nil)
+		return d, nil
 	}
 	d := dz.banded(a, b, band)
 	// With a band, Inf means the band admitted no warping path.
@@ -223,7 +294,16 @@ func upperBound(a, b []float64) float64 {
 // A cell (i,j) stays alive while D(i,j) <= lim[i], the row's limit from
 // limits: the upper bound less a lower bound on the cost every path
 // still pays in rows i+1..n.
-func (dz *Distancer) pruned(a, b []float64) float64 {
+//
+// With a finite upper bound every DP value is +0, a positive float or
+// +Inf: costs are math.Abs differences (never -0, never NaN for finite
+// inputs), and sums of them reach +Inf only by overflow. On such values
+// the unsigned order of the bit patterns is the value order, so the
+// predecessor minima compare bits, which compiles to conditional moves
+// instead of data-dependent branches; equal values have equal bits, so
+// the minimum is the same float.
+func (dz *Distancer) pruned(sa, sb *Series) float64 {
+	a, b := sa.x, sb.x
 	n, m := len(a), len(b)
 	ub := upperBound(a, b)
 	if !(ub < math.Inf(1)) {
@@ -231,7 +311,7 @@ func (dz *Distancer) pruned(a, b []float64) float64 {
 		// and NaN comparisons would break the alive test.
 		return dz.full(a, b)
 	}
-	lim := dz.limits(a, b, ub)
+	lim := dz.limits(sa, sb, ub)
 	prev, cur := dz.rows(m)
 	inf := math.Inf(1)
 	prev[0] = 0
@@ -264,14 +344,14 @@ func (dz *Distancer) pruned(a, b []float64) float64 {
 		// Tight middle j in [ps+1, pe]: all three predecessors are inside
 		// the window — no guards.
 		for ; j <= pe; j++ {
-			best := prev[j-1]
-			if prev[j] < best {
-				best = prev[j]
+			best := math.Float64bits(prev[j-1])
+			if y := math.Float64bits(prev[j]); y < best {
+				best = y
 			}
-			if cur[j-1] < best {
-				best = cur[j-1]
+			if y := math.Float64bits(cur[j-1]); y < best {
+				best = y
 			}
-			v := math.Abs(ai-b[j-1]) + best
+			v := math.Abs(ai-b[j-1]) + math.Float64frombits(best)
 			cur[j] = v
 			if v <= li {
 				npe = j
@@ -279,11 +359,11 @@ func (dz *Distancer) pruned(a, b []float64) float64 {
 		}
 		// Right edge j == pe+1: prev[pe+1] is outside the window.
 		if j == pe+1 && j <= m {
-			best := prev[j-1]
-			if cur[j-1] < best {
-				best = cur[j-1]
+			best := math.Float64bits(prev[j-1])
+			if y := math.Float64bits(cur[j-1]); y < best {
+				best = y
 			}
-			v := math.Abs(ai-b[j-1]) + best
+			v := math.Abs(ai-b[j-1]) + math.Float64frombits(best)
 			cur[j] = v
 			if v <= li {
 				npe = j
@@ -337,7 +417,10 @@ func (dz *Distancer) pruned(a, b []float64) float64 {
 // a value of at most 4S by at most 4u·S (u = 2⁻⁵³, S the largest
 // |input|), so L_r = m_r - (δa + δb + 64u·S), clamped at 0, stays below
 // every float cost of the row. Where S·2⁻⁴⁷ underflows, every value is
-// subnormal and those additions are exact.
+// subnormal and those additions are exact. The envelopes, depths and
+// largest magnitudes depend on one series each, so they come with the
+// Series (see Series.Set); only the merge walk and the suffix sums are
+// per pair.
 //
 // Float margin. The DP value of a cell is the minimum over paths of
 // their front-to-back float sums; on the optimal path P* each cell's
@@ -353,62 +436,38 @@ func (dz *Distancer) pruned(a, b []float64) float64 {
 // Non-monotone inputs too large for that arithmetic (S > 2¹⁰⁰⁰) get
 // L = 0, which is plain upper-bound pruning. Monotone ones need no S:
 // their minima are exact at any scale.
-func (dz *Distancer) limits(a, b []float64, ub float64) []float64 {
-	n, m := len(a), len(b)
-	if cap(dz.env) < m+2 {
-		dz.env = make([]float64, m+2)
-	}
+func (dz *Distancer) limits(a, b *Series, ub float64) []float64 {
+	n, m := len(a.x), len(b.x)
 	if cap(dz.lim) < n+1 {
 		dz.lim = make([]float64, n+1)
 	}
-	env, lim := dz.env[:m+2], dz.lim[:n+1]
+	lim := dz.lim[:n+1]
 	thr := ub * (1 + float64(2*(n+m+2))*0x1p-53)
 
-	// Inputs are finite here (ub is), so plain comparisons suffice.
-	// env[1..m] is b⁺, between -Inf and +Inf sentinels.
-	env[0], env[m+1] = math.Inf(-1), math.Inf(1)
-	mx, db := b[0], 0.0
-	for j, y := range b {
-		if y > mx {
-			mx = y
-		}
-		env[j+1] = mx
-		if mx-y > db {
-			db = mx - y
-		}
-	}
-	// One merge walk: k is the last index with env[k] <= a⁺_r.
-	mx, da := a[0], 0.0
+	// Inputs are finite here (ub is), so plain comparisons suffice. One
+	// merge walk: k counts the b⁺ values <= a⁺_r, and the row minimum is
+	// the distance to the nearer of b⁺_{k-1} and b⁺_k (+Inf past an end).
+	eb := b.env
 	k := 0
-	for r, x := range a {
-		if x > mx {
-			mx = x
-		}
-		if mx-x > da {
-			da = mx - x
-		}
-		for env[k+1] <= mx {
+	for r, x := range a.env {
+		for k < m && eb[k] <= x {
 			k++
 		}
-		d := mx - env[k]
-		if env[k+1]-mx < d {
-			d = env[k+1] - mx
+		d := math.Inf(1)
+		if k > 0 {
+			d = x - eb[k-1]
+		}
+		if k < m && eb[k]-x < d {
+			d = eb[k] - x
 		}
 		lim[r+1] = d
 	}
 	slack := 0.0
-	if da > 0 || db > 0 {
-		s := 0.0
-		for _, x := range a {
-			s = max(s, math.Abs(x))
-		}
-		for _, y := range b {
-			s = max(s, math.Abs(y))
-		}
-		if s > 0x1p1000 {
+	if a.depth > 0 || b.depth > 0 {
+		if s := max(a.absMax, b.absMax); s > 0x1p1000 {
 			slack = math.Inf(1)
 		} else {
-			slack = da + db + s*0x1p-47
+			slack = a.depth + b.depth + s*0x1p-47
 		}
 	}
 	suf := 0.0

@@ -80,7 +80,14 @@ type Artifacts struct {
 	jointVer    uint64
 	memo        map[string]memoEntry
 
-	scratch []*dtw.Distancer
+	scratch []*workerScratch
+}
+
+// workerScratch is one pool worker's reusable buffers: the trend
+// stage's DTW scratch and the cluster stage's k-means scratch.
+type workerScratch struct {
+	dz dtw.Distancer
+	km cluster.KMeansScratch
 }
 
 // memoKey is the input signature a memoized metric value was computed
@@ -136,10 +143,14 @@ func (a *Artifacts) memoStore(name string, key memoKey, v float64) {
 func (a *Artifacts) bumpJointVersion() { a.jointVer++ }
 
 // seriesCache is the per-counter normalized-series cache: norm[i] is
-// workload i's warmup-trimmed, CDF/percentile-normalized series, ver[i]
-// the series version it was computed at.
+// workload i's warmup-trimmed, CDF/percentile-normalized series, in[i]
+// the same series with the inputs of DTW's cost-to-go bound that depend
+// on it alone (dtw.Series), and ver[i] the series version both were
+// computed at. A changed workload recomputes only its own slots, so the
+// bound inputs cost one pass per series, not one per pair.
 type seriesCache struct {
 	norm [][]float64
+	in   []dtw.Series
 	ver  []uint64
 }
 
@@ -228,6 +239,15 @@ func (a *Artifacts) bumpSeriesVersion(i int) {
 // TrendScore's DTW compares). The result is cached per counter; only
 // workloads whose series changed since the last call are recomputed.
 func (a *Artifacts) NormSeries(ctx context.Context, c perf.Counter) ([][]float64, error) {
+	sc, err := a.series(ctx, c)
+	if err != nil {
+		return nil, err
+	}
+	return sc.norm, nil
+}
+
+// series brings counter c's series cache up to date and returns it.
+func (a *Artifacts) series(ctx context.Context, c perf.Counter) (*seriesCache, error) {
 	n := len(a.Meas.Workloads)
 	if a.normSeries == nil {
 		a.normSeries = make(map[perf.Counter]*seriesCache)
@@ -237,9 +257,16 @@ func (a *Artifacts) NormSeries(ctx context.Context, c perf.Counter) ([][]float64
 		sc = &seriesCache{}
 		a.normSeries[c] = sc
 	}
-	for len(sc.ver) < n {
-		sc.ver = append(sc.ver, staleVer)
-		sc.norm = append(sc.norm, nil)
+	if grow := n - len(sc.ver); grow > 0 {
+		// One allocation per slice, not one per doubling.
+		sc.ver = slices.Grow(sc.ver, grow)
+		sc.norm = slices.Grow(sc.norm, grow)
+		sc.in = slices.Grow(sc.in, grow)
+		for len(sc.ver) < n {
+			sc.ver = append(sc.ver, staleVer)
+			sc.norm = append(sc.norm, nil)
+			sc.in = append(sc.in, dtw.Series{})
+		}
 	}
 	var stale []int
 	for i := 0; i < n; i++ {
@@ -248,7 +275,7 @@ func (a *Artifacts) NormSeries(ctx context.Context, c perf.Counter) ([][]float64
 		}
 	}
 	if len(stale) == 0 {
-		return sc.norm, nil
+		return sc, nil
 	}
 	series := a.Meas.SeriesFor(c)
 	a.ensureScratch(par.Workers())
@@ -268,8 +295,9 @@ func (a *Artifacts) NormSeries(ctx context.Context, c perf.Counter) ([][]float64
 		} else {
 			// NormalizeSeries returns a fresh slice, so caching the result
 			// while reusing the distancer's internal scratch is safe.
-			sc.norm[i] = a.distancer(w).NormalizeSeries(s[drop:], a.Opts.DTWGrid)
+			sc.norm[i] = a.worker(w).dz.NormalizeSeries(s[drop:], a.Opts.DTWGrid)
 		}
+		sc.in[i].Set(sc.norm[i])
 		return nil
 	})
 	if err != nil {
@@ -278,7 +306,7 @@ func (a *Artifacts) NormSeries(ctx context.Context, c perf.Counter) ([][]float64
 	for _, i := range stale {
 		sc.ver[i] = a.seriesVersion(i)
 	}
-	return sc.norm, nil
+	return sc, nil
 }
 
 // TrendDists returns the symmetric pairwise DTW distance matrix over the
@@ -296,10 +324,11 @@ func (a *Artifacts) NormSeries(ctx context.Context, c perf.Counter) ([][]float64
 // pair itself would compute. The call's work counts go to the context's
 // obs recorder.
 func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64, error) {
-	norm, err := a.NormSeries(ctx, c)
+	sc, err := a.series(ctx, c)
 	if err != nil {
 		return nil, err
 	}
+	norm := sc.norm
 	n := len(norm)
 	if a.trendDists == nil {
 		a.trendDists = make(map[perf.Counter]*pairCache)
@@ -309,8 +338,11 @@ func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64
 		pc = &pairCache{}
 		a.trendDists[c] = pc
 	}
-	for len(pc.ver) < n {
-		pc.ver = append(pc.ver, staleVer)
+	if grow := n - len(pc.ver); grow > 0 {
+		pc.ver = slices.Grow(pc.ver, grow)
+		for len(pc.ver) < n {
+			pc.ver = append(pc.ver, staleVer)
+		}
 	}
 	stale := make([]bool, n)
 	anyStale := false
@@ -338,7 +370,18 @@ func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64
 	// lexicographic order; every other affected pair copies its first
 	// copies' value below, which is cached when neither changed.
 	rep := firstCopies(norm)
-	var pairs [][2]int
+	// Size the pair list exactly: every pair of first copies less the
+	// pairs of unchanged ones.
+	reps, fresh := 0, 0
+	for i := 0; i < n; i++ {
+		if rep[i] == i {
+			reps++
+			if !stale[i] {
+				fresh++
+			}
+		}
+	}
+	pairs := make([][2]int, 0, reps*(reps-1)/2-fresh*(fresh-1)/2)
 	for i := 0; i < n; i++ {
 		if rep[i] != i {
 			continue
@@ -354,7 +397,7 @@ func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64
 		i, j := pairs[p][0], pairs[p][1]
 		// Per-worker reusable DP scratch: the O(W²) DTW loop allocates
 		// nothing per pair.
-		dz := a.distancer(w)
+		dz := &a.worker(w).dz
 		var d float64
 		if a.Opts.DTWBand > 0 {
 			var derr error
@@ -363,7 +406,7 @@ func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64
 				return fmt.Errorf("metric: TrendScore DTW: %w", derr)
 			}
 		} else {
-			d = dz.Distance(norm[i], norm[j])
+			d = dz.DistanceSeries(&sc.in[i], &sc.in[j])
 		}
 		pc.d[i][j] = d
 		pc.d[j][i] = d
@@ -372,9 +415,9 @@ func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64
 	// Drain the workers' cell counts on failure too, so they are not
 	// reported to a later call's recorder.
 	var cells uint64
-	for _, dz := range a.scratch {
-		if dz != nil {
-			cells += dz.TakeWork()
+	for _, ws := range a.scratch {
+		if ws != nil {
+			cells += ws.dz.TakeWork()
 		}
 	}
 	rec := obs.FromContext(ctx)
@@ -474,7 +517,7 @@ func (a *Artifacts) totalsChanged() {
 	a.raw, a.ownNorm, a.sq, a.dist = nil, nil, nil, nil
 }
 
-// ensureScratch grows the per-worker DTW scratch table to at least n
+// ensureScratch grows the per-worker scratch table to at least n
 // slots. It must be called from the serial section before a parallel
 // region hands out worker ids: growing the slice while workers index it
 // would race.
@@ -484,20 +527,20 @@ func (a *Artifacts) ensureScratch(n int) {
 	}
 }
 
-// distancer returns worker w's reusable DTW scratch. Worker ids from
+// worker returns worker w's reusable scratch. Worker ids from
 // par.Do/DoErr are stable within a pool, so each slot is owned by one
 // goroutine at a time. The table is sized by ensureScratch at each
 // parallel entry point, so a SetWorkers raise between scoring runs gets
 // fresh slots instead of indexing past the table; the fallback covers
 // only a SetWorkers racing a live run.
-func (a *Artifacts) distancer(w int) *dtw.Distancer {
+func (a *Artifacts) worker(w int) *workerScratch {
 	if w >= len(a.scratch) {
 		// Pool width grew after ensureScratch (SetWorkers mid-run); fall
 		// back to a throwaway instance rather than racing on the slice.
-		return dtw.NewDistancer()
+		return &workerScratch{}
 	}
 	if a.scratch[w] == nil {
-		a.scratch[w] = dtw.NewDistancer()
+		a.scratch[w] = &workerScratch{}
 	}
 	return a.scratch[w]
 }

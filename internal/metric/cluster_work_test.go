@@ -29,22 +29,26 @@ func clusterWork(t *testing.T, sms []*perf.SuiteMeasurement, g perf.Group) map[s
 
 // stockClusterWork pins the cluster stage's work on the default-config
 // stock data per event group. A change that moves a count updates it
-// here and states the delta.
+// here and states the delta. The silhouette reads n−1 distances per
+// point outside a singleton cluster.
 var stockClusterWork = map[string]map[string]int64{
 	"all": {
 		obs.CounterKMeansRestarts:     864,
 		obs.CounterKMeansIters:        2102,
 		obs.CounterKMeansItersSkipped: 0,
+		obs.CounterSilhouettePairs:    66198,
 	},
 	"llc": {
 		obs.CounterKMeansRestarts:     864,
 		obs.CounterKMeansIters:        2509,
 		obs.CounterKMeansItersSkipped: 4136,
+		obs.CounterSilhouettePairs:    66617,
 	},
 	"tlb": {
 		obs.CounterKMeansRestarts:     864,
 		obs.CounterKMeansIters:        2070,
 		obs.CounterKMeansItersSkipped: 0,
+		obs.CounterSilhouettePairs:    67704,
 	},
 }
 
@@ -79,8 +83,9 @@ func TestClusterWorkCountsStock(t *testing.T) {
 	}
 }
 
-// TestClusterWorkCountsCancelled stops the sweep after one k-means call:
-// that call's recorder gets its restarts and iterations, and a rerun
+// TestClusterWorkCountsCancelled stops the sweep after one k: that
+// call's recorder gets its restarts, iterations and silhouette pairs,
+// and a rerun
 // reports exactly the work of a fresh run.
 func TestClusterWorkCountsCancelled(t *testing.T) {
 	sm := testMeasurement(t)
@@ -107,8 +112,9 @@ func TestClusterWorkCountsCancelled(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("stopped sweep: err %v, want context.Canceled", err)
 	}
-	if got[obs.CounterKMeansRestarts] != int64(opts.KMeansRestarts) || got[obs.CounterKMeansIters] <= 0 {
-		t.Errorf("stopped sweep's work %v: want the restarts and iterations of one k-means call", got)
+	if got[obs.CounterKMeansRestarts] != int64(opts.KMeansRestarts) || got[obs.CounterKMeansIters] <= 0 ||
+		got[obs.CounterSilhouettePairs] <= 0 || got[obs.CounterSilhouettePairs] >= want[obs.CounterSilhouettePairs] {
+		t.Errorf("stopped sweep's work %v: want the restarts, iterations and silhouette pairs of one k", got)
 	}
 	if got, err := work(context.Background(), a); err != nil || !reflect.DeepEqual(got, want) {
 		t.Errorf("rerun after the stopped sweep: work %v (err %v), want %v", got, err, want)

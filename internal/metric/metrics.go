@@ -73,11 +73,15 @@ func (clusterMetric) Compute(ctx context.Context, a *Artifacts) (float64, error)
 	ks := n - 2 // k in [2, n-1]
 	sils := make([]float64, ks)
 	work := make([]cluster.KMeansWork, ks)
-	err := par.DoErr(ctx, ks, func(_, i int) error {
+	pairs := make([]int, ks)
+	a.ensureScratch(par.Workers())
+	err := par.DoErr(ctx, ks, func(w, i int) error {
 		k := i + 2
 		km := cluster.DefaultKMeansOptions(rng.ChildSeed(a.Opts.KMeansSeed, k))
 		km.Restarts = a.Opts.KMeansRestarts
-		res, err := cluster.KMeansSq(x, sq, k, km)
+		// The worker's k-means buffers serve every k it runs; the result
+		// is read before the worker's next call overwrites it.
+		res, err := a.worker(w).km.KMeansSq(x, sq, k, km)
 		if err != nil {
 			return fmt.Errorf("metric: ClusterScore k=%d: %w", k, err)
 		}
@@ -85,24 +89,29 @@ func (clusterMetric) Compute(ctx context.Context, a *Artifacts) (float64, error)
 		// k-means can return fewer than k distinct labels only via the
 		// empty-cluster repair, which guarantees non-empty clusters; the
 		// silhouette is computed over exactly k clusters.
-		s, err := cluster.SilhouetteDist(dist, res.Labels, k)
+		s, p, err := cluster.SilhouetteDist(dist, res.Labels, k)
+		pairs[i] = p
 		if err != nil {
 			return fmt.Errorf("metric: ClusterScore silhouette k=%d: %w", k, err)
 		}
 		sils[i] = s
 		return nil
 	})
-	// Report the work of every k-means that ran, on failure too.
+	// Report the work of every k-means and silhouette that ran, on
+	// failure too.
 	var total cluster.KMeansWork
-	for _, w := range work {
+	silPairs := 0
+	for i, w := range work {
 		total.Restarts += w.Restarts
 		total.Iters += w.Iters
 		total.ItersSkipped += w.ItersSkipped
+		silPairs += pairs[i]
 	}
 	rec := obs.FromContext(ctx)
 	rec.Count(obs.CounterKMeansRestarts, int64(total.Restarts))
 	rec.Count(obs.CounterKMeansIters, int64(total.Iters))
 	rec.Count(obs.CounterKMeansItersSkipped, int64(total.ItersSkipped))
+	rec.Count(obs.CounterSilhouettePairs, int64(silPairs))
 	if err != nil {
 		return 0, err
 	}

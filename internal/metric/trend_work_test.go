@@ -3,6 +3,7 @@ package metric
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"sync"
@@ -13,6 +14,7 @@ import (
 	"perspector/internal/obs"
 	"perspector/internal/par"
 	"perspector/internal/perf"
+	"perspector/internal/rng"
 	"perspector/internal/suites"
 )
 
@@ -191,6 +193,81 @@ func TestDistanceMatchesFullStock(t *testing.T) {
 	}
 	if pairs != 21966 {
 		t.Fatalf("%d stock pairs, want 21966", pairs)
+	}
+}
+
+// streamSamples draws one workload's delta series the way the benchmark's
+// stream client does: n uniform counts in [1, 2000] per counter.
+func streamSamples(src *rng.Source, n int) *perf.TimeSeries {
+	ts := &perf.TimeSeries{Interval: 1000}
+	for c := range ts.Samples {
+		ts.Samples[c] = make([]float64, n)
+		for t := range ts.Samples[c] {
+			ts.Samples[c][t] = float64(1 + src.Intn(2000))
+		}
+	}
+	return ts
+}
+
+// TestDistanceMatchesFullStream checks the trend stage's distances
+// against the full DP bit for bit on stream traffic: twelve workloads of
+// 24 uniform-noise samples, then fifteen 2-sample appends to one
+// workload each, normalized on the default grid. Each append rescores
+// through the series cache, so the bound inputs it keeps are rebuilt in
+// place. One stream appends to workload 0 only, growing it to 54
+// samples. Both the cached Series and Distance's per-call inputs must
+// give the full DP's bits.
+func TestDistanceMatchesFullStream(t *testing.T) {
+	ctx := context.Background()
+	dz, ref := dtw.NewDistancer(), dtw.NewDistancer()
+	pairs := 0
+	check := func(a *Artifacts, i int) {
+		t.Helper()
+		for _, c := range a.Opts.Counters {
+			d, err := a.TrendDists(ctx, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			norm := a.normSeries[c].norm
+			for j := range norm {
+				if j == i {
+					continue
+				}
+				want, err := ref.DistanceBanded(norm[i], norm[j], len(norm[i]))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := dz.Distance(norm[i], norm[j])
+				if math.Float64bits(d[i][j]) != math.Float64bits(want) || math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%v pair (%d,%d), %d samples: TrendDists %v, Distance %v, full DP %v",
+						c, i, j, len(a.Meas.Workloads[i].Series.Samples[c]), d[i][j], got, want)
+				}
+				pairs++
+			}
+		}
+	}
+	for seed := uint64(1); seed <= 5; seed++ {
+		src := rng.New(seed)
+		sm := &perf.SuiteMeasurement{Suite: "stream"}
+		for w := 0; w < 12; w++ {
+			sm.Workloads = append(sm.Workloads, perf.Measurement{
+				Workload: fmt.Sprintf("w%02d", w), Series: *streamSamples(src, 24)})
+		}
+		a := NewArtifacts(sm, DefaultOptions())
+		for i := range sm.Workloads {
+			check(a, i)
+		}
+		for chunk := 0; chunk < 15; chunk++ {
+			i := 0
+			if seed > 1 {
+				i = src.Intn(12)
+			}
+			a.appendSamples(i, perf.Values{}, streamSamples(src, 2))
+			check(a, i)
+		}
+	}
+	if n := len(DefaultOptions().Counters); pairs != 5*(12+15)*n*11 {
+		t.Fatalf("%d pairs checked, want %d", pairs, 5*(12+15)*n*11)
 	}
 }
 

@@ -62,11 +62,13 @@ const (
 
 // Names of the cluster stage's work counters (the ClusterScore k-means
 // sweep): k-means++ restarts, Lloyd iterations run over all restarts,
-// and iterations a cycle fast-forward skipped.
+// iterations a cycle fast-forward skipped, and point-to-point distances
+// the silhouettes read.
 const (
 	CounterKMeansRestarts     = "kmeans.restarts"
 	CounterKMeansIters        = "kmeans.iters"
 	CounterKMeansItersSkipped = "kmeans.iters_skipped"
+	CounterSilhouettePairs    = "silhouette.pairs"
 )
 
 // maxAttrs is the per-span attribute capacity. Spans carry a small fixed
