@@ -10,9 +10,10 @@
 // Key hashes (SHA-256) the canonical rendering of everything the
 // measurement depends on:
 //
-//   - a schema version (bump SchemaVersion whenever the simulator,
-//     workload models, or entry format change semantically — that is the
-//     only invalidation rule besides deleting the directory),
+//   - a schema version (bump SchemaVersion whenever the simulator or the
+//     workload models change what a measurement holds — that is the only
+//     invalidation rule besides deleting the directory; a new entry
+//     format takes a new file extension instead, see below),
 //   - the suite name and every workload spec — rendered through the
 //     workload codec's canonical JSON, which tags every access pattern
 //     with its generator kind. (The former %+v rendering dropped Go type
@@ -27,27 +28,39 @@
 //
 // # Entry format
 //
-// Entries are stored as <dir>/<hex key>.gob: the encoding/gob rendering
-// of a perf.SuiteMeasurement. gob writes a float64 as its IEEE-754 bits,
-// so series round-trip bit-exactly and scores computed from a warm cache
-// are bit-identical to a cold run — enforced by
-// TestScoreDeterminismColdVsWarmCache. Entries are gob and not trace
-// JSON because parsing float text was a third of a warm compare: reading
-// the six stock suites' entries (BenchmarkStoreGet, 2-vCPU Xeon VM)
-// takes 30–48 ms, 7.6 MB and 16.8k allocs as JSON against 3.3–4.3 ms,
-// 2.4 MB and 6.9k allocs as gob. Trace JSON remains the user-facing
-// interchange format (ExportJSON, ImportJSON, trace files); the entry
-// format is private to this package, so it uses the cheapest
-// standard-library codec that carries the type as is.
+// Entries are stored as <dir>/<hex key>.meas, one flat little-endian
+// record per suite measurement: a magic header, the length-prefixed
+// suite and workload names, each workload's 14 counter totals and sample
+// interval as u64, each counter's series as a count followed by the
+// IEEE-754 bits of its samples, and a CRC-32C trailer over everything
+// before it (entry.go has the byte layout). Float64s are stored as their
+// bits, so series round-trip bit-exactly and scores computed from a warm
+// cache are bit-identical to a cold run — enforced by
+// TestScoreDeterminismColdVsWarmCache.
 //
-// Schema version 3 introduced the gob entries. Older *.json entries are
-// orphaned, not migrated: their keys hash a different schema version, so
-// Get never opens them, and they are safe to delete.
+// The format is private to this package and made for a warm compare,
+// which reads six entries per op: Put writes one exactly-sized buffer;
+// Get reads the file with one read into a pooled buffer, checks the
+// checksum and every length against the bytes left before allocating,
+// and decodes the suite's series into one float slab, each counter's
+// slice capped at its own length. Reading the six stock suites' entries
+// (BenchmarkStoreGet, 2-vCPU Xeon VM) takes about 1 ms, 1.4 MB and 180
+// allocations, against 3.3–3.6 ms, 2.4 MB and 6,852 with encoding/gob
+// (DESIGN.md, "Measurement cache"). Trace JSON remains the user-facing
+// interchange format (ExportJSON, ImportJSON, trace files).
 //
-// Get decodes an entry and then checks it with SuiteMeasurement.Validate,
-// the same structural checks trace.ReadJSON applies, so a corrupt file
-// cannot hand the scorer a shape an imported trace could not. An entry
-// that fails either step is a miss and is removed.
+// Entries written before the flat format (*.gob from schema version 3,
+// *.json from earlier ones) are orphaned, not migrated: Get never opens
+// them, and they are safe to delete. The format change did not bump
+// SchemaVersion: the version is hashed into every key, and the job and
+// stream content keys built on Key, so a bump would orphan stored job
+// results and move fleet ring placements for a change that alters no
+// measured bit.
+//
+// Get checks a decoded entry with SuiteMeasurement.Validate, the same
+// structural checks trace.ReadJSON applies, so a corrupt file cannot
+// hand the scorer a shape an imported trace could not. An entry that
+// fails the checksum, the layout or Validate is a miss and is removed.
 //
 // A nil *Store is a valid pass-through: Get always misses and Put is a
 // no-op, which lets callers thread one variable through -no-cache paths.
@@ -56,7 +69,6 @@ package cache
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/gob"
 	"encoding/hex"
 	"fmt"
 	"os"
@@ -69,10 +81,11 @@ import (
 )
 
 // SchemaVersion invalidates every existing entry when bumped. It must
-// change whenever the simulator, the workload models, or the entry
-// format change the bytes a measurement serializes to — or, as with the
-// move to canonical spec JSON in the key, when the key scheme itself
-// changes. Version 3 moved entries from trace JSON to gob.
+// change whenever the simulator or the workload models change the values
+// a measurement holds — or, as with the move to canonical spec JSON in
+// the key, when the key scheme itself changes. Version 3 moved entries
+// from trace JSON to gob; the flat format that replaced gob kept it, and
+// took a new file extension instead (see the package comment).
 const SchemaVersion = 3
 
 // Store is an on-disk measurement cache rooted at one directory.
@@ -139,7 +152,7 @@ func RingPoint(key string) uint64 {
 
 // path returns the entry file for a key.
 func (st *Store) path(key string) string {
-	return filepath.Join(st.dir, key+".gob")
+	return filepath.Join(st.dir, key+".meas")
 }
 
 // Get returns the cached measurement for key, or (nil, false) on a miss.
@@ -150,16 +163,12 @@ func (st *Store) Get(key string) (*perf.SuiteMeasurement, bool) {
 		return nil, false
 	}
 	path := st.path(key)
-	f, err := os.Open(path)
+	m, err := readEntry(path)
 	if err != nil {
-		st.misses.Add(1)
-		return nil, false
-	}
-	defer f.Close()
-	m := new(perf.SuiteMeasurement)
-	if err := gob.NewDecoder(f).Decode(m); err != nil || m.Validate() != nil {
-		// A corrupt entry: drop it so the slot heals.
-		os.Remove(path)
+		if err == errCorrupt {
+			// A corrupt entry: drop it so the slot heals.
+			os.Remove(path)
+		}
 		st.misses.Add(1)
 		return nil, false
 	}
@@ -173,12 +182,16 @@ func (st *Store) Put(key string, m *perf.SuiteMeasurement) error {
 	if st == nil {
 		return nil
 	}
+	buf, err := encodeEntry(m)
+	if err != nil {
+		return err
+	}
 	tmp, err := os.CreateTemp(st.dir, "put-*.tmp")
 	if err != nil {
 		return fmt.Errorf("cache: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if err := gob.NewEncoder(tmp).Encode(m); err != nil {
+	if _, err := tmp.Write(buf); err != nil {
 		tmp.Close()
 		return fmt.Errorf("cache: %w", err)
 	}

@@ -2,8 +2,10 @@ package cache
 
 import (
 	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -125,13 +127,81 @@ func TestStoreRoundTrip(t *testing.T) {
 		t.Fatal("warm measurement shape differs")
 	}
 	for i := range cold.Workloads {
-		cw, ww := &cold.Workloads[i], &warm.Workloads[i]
-		if cw.Workload != ww.Workload || cw.Totals != ww.Totals {
-			t.Fatalf("workload %d totals differ after round trip", i)
+		if len(cold.Workloads[i].Series.Samples[perf.CPUCycles]) == 0 {
+			t.Fatalf("workload %d was simulated without series", i)
 		}
-		for c := range cw.Series.Samples {
-			if !reflect.DeepEqual(cw.Series.Samples[c], ww.Series.Samples[c]) {
-				t.Fatalf("workload %d counter %d series not bit-identical", i, c)
+	}
+	sameBits(t, warm, cold)
+
+	// Float classes a simulated series never holds but an entry must
+	// carry bit for bit, beside a totals-only workload and a workload
+	// with some counters unsampled.
+	special := specialMeasurement()
+	if err := st.Put("special", special); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := st.Get("special")
+	if !ok {
+		t.Fatal("special-value entry missed")
+	}
+	sameBits(t, got, special)
+}
+
+// specialMeasurement is a valid measurement holding −0, NaNs with
+// distinct payloads, ±Inf, subnormals and extreme totals, a totals-only
+// workload, and a workload whose sampled counters sit beside unsampled
+// ones.
+func specialMeasurement() *perf.SuiteMeasurement {
+	vals := []float64{
+		math.Copysign(0, -1), 0,
+		math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0xfff0000000000bad),
+		math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.Float64frombits(0x000fffffffffffff),
+		math.MaxFloat64, 1e-300,
+	}
+	sm := &perf.SuiteMeasurement{Suite: "special"}
+	full := perf.Measurement{Workload: "special.full"}
+	full.Series.Interval = math.MaxUint64
+	for c := range full.Totals {
+		full.Totals[c] = math.MaxUint64 - uint64(c)
+		full.Series.Samples[c] = append([]float64(nil), vals...)
+		full.Series.Samples[c][c%len(vals)] = float64(c)
+	}
+	totals := perf.Measurement{Workload: "special.totals-only"}
+	totals.Totals[perf.CPUCycles] = 42
+	partial := perf.Measurement{Workload: "special.partial"}
+	partial.Series.Interval = 7
+	for _, c := range []perf.Counter{perf.CPUCycles, perf.LLCLoads, perf.LLCStoreMisses} {
+		partial.Series.Samples[c] = []float64{math.Float64frombits(1), -0.5, math.NaN()}
+	}
+	sm.Workloads = append(sm.Workloads, full, totals, partial)
+	return sm
+}
+
+// sameBits fails unless got and want hold the same names, totals,
+// intervals and series, comparing every sample by its bits and telling
+// an unsampled counter (nil) from a sampled one.
+func sameBits(t *testing.T, got, want *perf.SuiteMeasurement) {
+	t.Helper()
+	if got.Suite != want.Suite || len(got.Workloads) != len(want.Workloads) {
+		t.Fatalf("suite %q with %d workloads, want %q with %d",
+			got.Suite, len(got.Workloads), want.Suite, len(want.Workloads))
+	}
+	for i := range want.Workloads {
+		g, w := &got.Workloads[i], &want.Workloads[i]
+		if g.Workload != w.Workload || g.Totals != w.Totals || g.Series.Interval != w.Series.Interval {
+			t.Fatalf("workload %d: name, totals or interval differ", i)
+		}
+		for c := range w.Series.Samples {
+			gs, ws := g.Series.Samples[c], w.Series.Samples[c]
+			if len(gs) != len(ws) || (gs == nil) != (ws == nil) {
+				t.Fatalf("workload %d counter %d: %d samples, want %d", i, c, len(gs), len(ws))
+			}
+			for k := range ws {
+				if math.Float64bits(gs[k]) != math.Float64bits(ws[k]) {
+					t.Fatalf("workload %d counter %d sample %d: bits %#x, want %#x",
+						i, c, k, math.Float64bits(gs[k]), math.Float64bits(ws[k]))
+				}
 			}
 		}
 	}
@@ -150,14 +220,38 @@ func TestCorruptEntryHealsAsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	entry := onlyEntry(t, dir)
-	if err := os.WriteFile(entry, []byte("{not json"), 0o644); err != nil {
+	valid, err := os.ReadFile(entry)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := st.Get(key); ok {
-		t.Fatal("corrupt entry served as hit")
+	flip := func(i int) []byte {
+		b := bytes.Clone(valid)
+		b[i] ^= 0x10
+		return b
 	}
-	if _, err := os.Stat(entry); !os.IsNotExist(err) {
-		t.Fatal("corrupt entry not removed")
+	corrupt := map[string][]byte{
+		"not an entry":      []byte("{not json"),
+		"flipped magic bit": flip(0),
+		"flipped name bit":  flip(len(entryMagic) + 4),
+		"flipped float bit": flip(len(valid) - crcLen - 1),
+		"flipped crc bit":   flip(len(valid) - 1),
+		"trailing bytes":    append(bytes.Clone(valid), 0),
+		"doubled entry":     append(bytes.Clone(valid), valid...),
+	}
+	// Every proper prefix: a torn write of any length.
+	for n := 0; n < len(valid); n++ {
+		corrupt[fmt.Sprintf("prefix %d", n)] = valid[:n]
+	}
+	for name, data := range corrupt {
+		if err := os.WriteFile(entry, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := st.Get(key); ok {
+			t.Fatalf("%s: corrupt entry served as hit", name)
+		}
+		if _, err := os.Stat(entry); !os.IsNotExist(err) {
+			t.Fatalf("%s: corrupt entry not removed", name)
+		}
 	}
 	// The slot heals: a Measure fills it and the next Get hits.
 	if _, err := st.Measure(s, cfg); err != nil {
@@ -166,6 +260,70 @@ func TestCorruptEntryHealsAsMiss(t *testing.T) {
 	if _, ok := st.Get(key); !ok {
 		t.Fatal("healed entry did not hit")
 	}
+}
+
+// TestCorruptLayoutAllocatesNothing rewrites an entry's length fields
+// to values far past its end, and separately pads its body, each with
+// the checksum recomputed so only the layout walk can reject it: Get
+// must miss without allocating what the lengths claim.
+func TestCorruptLayoutAllocatesNothing(t *testing.T) {
+	valid, err := encodeEntry(tinyMeasurement())
+	if err != nil {
+		t.Fatal(err)
+	}
+	end := len(valid) - crcLen
+	resum := func(b []byte) []byte {
+		n := len(b) - crcLen
+		binary.LittleEndian.PutUint32(b[n:], crc32.Checksum(b[:n], castagnoli))
+		return b
+	}
+	suiteLen := len(entryMagic)
+	countAt := suiteLen + 4 + len("tiny")
+	firstSeries := countAt + 4 + 4 + len("tiny.w0") + fixedLen
+	corrupt := map[string][]byte{
+		"padded body": resum(append(append(bytes.Clone(valid[:end]), 0, 0, 0, 0, 0, 0, 0, 0), valid[end:]...)),
+	}
+	for _, at := range []int{suiteLen, countAt, firstSeries} {
+		b := bytes.Clone(valid)
+		binary.LittleEndian.PutUint32(b[at:], math.MaxUint32)
+		corrupt[fmt.Sprintf("length at byte %d", at)] = resum(b)
+	}
+	for name, b := range corrupt {
+		var sm *perf.SuiteMeasurement
+		allocs := testing.AllocsPerRun(10, func() { sm, err = decodeEntry(b) })
+		if err == nil || sm != nil {
+			t.Fatalf("%s: decoded a corrupt layout", name)
+		}
+		if allocs != 0 {
+			t.Fatalf("%s: rejecting it allocated %v times", name, allocs)
+		}
+	}
+}
+
+// TestDecodedSeriesAreCapped appends to one decoded counter series:
+// the decoder packs every series into one slab, so each must be capped
+// at its own length or the append would overwrite its neighbour.
+func TestDecodedSeriesAreCapped(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := tinyMeasurement()
+	if err := st.Put("k", want); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := st.Get("k")
+	if !ok {
+		t.Fatal("entry missed")
+	}
+	for i := range got.Workloads {
+		for c := range got.Workloads[i].Series.Samples {
+			s := &got.Workloads[i].Series.Samples[c]
+			*s = append(*s, math.Inf(-1), 12345)
+			*s = (*s)[:len(*s)-2]
+		}
+	}
+	sameBits(t, got, want)
 }
 
 // TestPutIsAtomicUnderConcurrentReaders pins down the temp-file +
@@ -366,17 +524,21 @@ func TestEntryReadersRejectTheSameShapes(t *testing.T) {
 
 // FuzzCacheGet writes arbitrary bytes as a cache entry. Get must never
 // panic: it either misses and removes the entry, or returns a
-// measurement that passes Validate.
+// measurement that passes Validate and survives a Put/Get round trip bit
+// for bit.
 func FuzzCacheGet(f *testing.F) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(tinyMeasurement()); err != nil {
-		f.Fatal(err)
+	for _, sm := range []*perf.SuiteMeasurement{tinyMeasurement(), specialMeasurement()} {
+		valid, err := encodeEntry(sm)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(valid)
+		f.Add(valid[:len(valid)/2])
+		f.Add(valid[:len(valid)-crcLen])
 	}
-	valid := buf.Bytes()
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2])
 	f.Add([]byte{})
-	f.Add([]byte("{not gob"))
+	f.Add([]byte(entryMagic))
+	f.Add([]byte("{not an entry"))
 	st, err := Open(f.TempDir())
 	if err != nil {
 		f.Fatal(err)
@@ -396,6 +558,14 @@ func FuzzCacheGet(f *testing.F) {
 		if err := m.Validate(); err != nil {
 			t.Fatalf("Get returned an invalid measurement: %v", err)
 		}
+		if err := st.Put(key, m); err != nil {
+			t.Fatal(err)
+		}
+		again, ok := st.Get(key)
+		if !ok {
+			t.Fatal("re-put entry missed")
+		}
+		sameBits(t, again, m)
 	})
 }
 

@@ -74,6 +74,20 @@ func Silhouette(x *mat.Matrix, labels []int, k int) (float64, error) {
 // work happens once per sweep instead of once per k. pairs counts the
 // distances it read: n−1 for each point outside a singleton cluster.
 func SilhouetteDist(dist [][]float64, labels []int, k int) (s float64, pairs int, err error) {
+	return new(SilhouetteScratch).SilhouetteDist(dist, labels, k)
+}
+
+// SilhouetteScratch holds the per-cluster member lists of SilhouetteDist
+// calls, reused from one call to the next: the ClusterScore sweep on one
+// scratch allocates them once, not once per k. The zero value is ready
+// to use. A SilhouetteScratch is not safe for concurrent use.
+type SilhouetteScratch struct {
+	members [][]int
+}
+
+// SilhouetteDist is the package-level SilhouetteDist on the scratch's
+// member lists.
+func (ss *SilhouetteScratch) SilhouetteDist(dist [][]float64, labels []int, k int) (s float64, pairs int, err error) {
 	n := len(dist)
 	if len(labels) != n {
 		return 0, 0, fmt.Errorf("cluster: Silhouette got %d labels for %d points", len(labels), n)
@@ -85,7 +99,13 @@ func SilhouetteDist(dist [][]float64, labels []int, k int) (s float64, pairs int
 		// Eq. 3: S(p) = 0 when k = 1.
 		return 0, 0, nil
 	}
-	members := make([][]int, k)
+	for len(ss.members) < k {
+		ss.members = append(ss.members, nil)
+	}
+	members := ss.members[:k]
+	for c := range members {
+		members[c] = members[c][:0]
+	}
 	for i, c := range labels {
 		if c < 0 || c >= k {
 			return 0, 0, fmt.Errorf("cluster: label %d out of range [0,%d)", c, k)

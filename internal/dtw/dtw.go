@@ -542,9 +542,21 @@ func NormalizeSeries(series []float64, gridPoints int) []float64 {
 // Distancer's reusable cumulative-sum scratch buffer. The returned grid
 // is always freshly allocated (callers keep it).
 func (dz *Distancer) NormalizeSeries(series []float64, gridPoints int) []float64 {
+	return dz.NormalizeSeriesInto(nil, series, gridPoints)
+}
+
+// NormalizeSeriesInto is NormalizeSeries writing the grid into dst's
+// storage when it has room for gridPoints+1 samples, and into a new
+// slice otherwise. It returns the grid.
+func (dz *Distancer) NormalizeSeriesInto(dst, series []float64, gridPoints int) []float64 {
+	if cap(dst) < gridPoints+1 {
+		dst = make([]float64, gridPoints+1)
+	}
+	dst = dst[:gridPoints+1]
 	n := len(series)
 	if n == 0 {
-		return make([]float64, gridPoints+1)
+		clear(dst)
+		return dst
 	}
 	// cum[0] = 0 anchors the curve at the start of execution, so sample i
 	// sits at time fraction i/n exactly; without the anchor, series of
@@ -574,7 +586,8 @@ func (dz *Distancer) NormalizeSeries(series []float64, gridPoints int) []float64
 			cum[i] *= inv
 		}
 	}
-	return stat.ResampleToPercentiles(cum, gridPoints)
+	stat.ResampleToPercentilesInto(dst, cum)
+	return dst
 }
 
 // NormalizeSeriesValueCDF is the alternative reading of §III-B1 that maps

@@ -81,13 +81,17 @@ type Artifacts struct {
 	memo        map[string]memoEntry
 
 	scratch []*workerScratch
+	// pairs is TrendDists' list of DTW runs, reused across counters.
+	pairs [][2]int
 }
 
 // workerScratch is one pool worker's reusable buffers: the trend
-// stage's DTW scratch and the cluster stage's k-means scratch.
+// stage's DTW scratch and the cluster stage's k-means and silhouette
+// scratch.
 type workerScratch struct {
-	dz dtw.Distancer
-	km cluster.KMeansScratch
+	dz  dtw.Distancer
+	km  cluster.KMeansScratch
+	sil cluster.SilhouetteScratch
 }
 
 // memoKey is the input signature a memoized metric value was computed
@@ -237,7 +241,8 @@ func (a *Artifacts) bumpSeriesVersion(i int) {
 // NormSeries returns the warmup-trimmed, CDF/percentile-normalized delta
 // series of every workload for counter c (the Fig. 1 normalization that
 // TrendScore's DTW compares). The result is cached per counter; only
-// workloads whose series changed since the last call are recomputed.
+// workloads whose series changed since the last call are recomputed, in
+// place, so a caller must not keep the grids across an append.
 func (a *Artifacts) NormSeries(ctx context.Context, c perf.Counter) ([][]float64, error) {
 	sc, err := a.series(ctx, c)
 	if err != nil {
@@ -277,11 +282,10 @@ func (a *Artifacts) series(ctx context.Context, c perf.Counter) (*seriesCache, e
 	if len(stale) == 0 {
 		return sc, nil
 	}
-	series := a.Meas.SeriesFor(c)
 	a.ensureScratch(par.Workers())
 	err := par.DoErr(ctx, len(stale), func(w, k int) error {
 		i := stale[k]
-		s := series[i]
+		s := a.Meas.Workloads[i].Series.Samples[c]
 		if len(s) == 0 {
 			return fmt.Errorf("metric: TrendScore: workload %q has no samples for %v",
 				a.Meas.Workloads[i].Workload, c)
@@ -293,9 +297,9 @@ func (a *Artifacts) series(ctx context.Context, c perf.Counter) (*seriesCache, e
 		if a.Opts.TrendValueCDF {
 			sc.norm[i] = dtw.NormalizeSeriesValueCDF(s[drop:], a.Opts.DTWGrid)
 		} else {
-			// NormalizeSeries returns a fresh slice, so caching the result
-			// while reusing the distancer's internal scratch is safe.
-			sc.norm[i] = a.worker(w).dz.NormalizeSeries(s[drop:], a.Opts.DTWGrid)
+			// A recomputed slot rewrites its own grid: a stream chunk
+			// recomputes every counter of the workload it changed.
+			sc.norm[i] = a.worker(w).dz.NormalizeSeriesInto(sc.norm[i], s[drop:], a.Opts.DTWGrid)
 		}
 		sc.in[i].Set(sc.norm[i])
 		return nil
@@ -381,7 +385,7 @@ func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64
 			}
 		}
 	}
-	pairs := make([][2]int, 0, reps*(reps-1)/2-fresh*(fresh-1)/2)
+	pairs := slices.Grow(a.pairs[:0], reps*(reps-1)/2-fresh*(fresh-1)/2)
 	for i := 0; i < n; i++ {
 		if rep[i] != i {
 			continue
@@ -392,6 +396,7 @@ func (a *Artifacts) TrendDists(ctx context.Context, c perf.Counter) ([][]float64
 			}
 		}
 	}
+	a.pairs = pairs
 	a.ensureScratch(par.Workers())
 	err = par.DoErr(ctx, len(pairs), func(w, p int) error {
 		i, j := pairs[p][0], pairs[p][1]

@@ -89,7 +89,7 @@ func (clusterMetric) Compute(ctx context.Context, a *Artifacts) (float64, error)
 		// k-means can return fewer than k distinct labels only via the
 		// empty-cluster repair, which guarantees non-empty clusters; the
 		// silhouette is computed over exactly k clusters.
-		s, p, err := cluster.SilhouetteDist(dist, res.Labels, k)
+		s, p, err := a.worker(w).sil.SilhouetteDist(dist, res.Labels, k)
 		pairs[i] = p
 		if err != nil {
 			return fmt.Errorf("metric: ClusterScore silhouette k=%d: %w", k, err)

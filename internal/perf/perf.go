@@ -198,15 +198,6 @@ func (sm *SuiteMeasurement) Matrix(counters []Counter) [][]float64 {
 	return out
 }
 
-// SeriesFor returns T_z: the per-workload time series of counter c.
-func (sm *SuiteMeasurement) SeriesFor(c Counter) [][]float64 {
-	out := make([][]float64, len(sm.Workloads))
-	for i := range sm.Workloads {
-		out[i] = sm.Workloads[i].Series.Series(c)
-	}
-	return out
-}
-
 // Validate checks the structure every reader of a stored or imported
 // measurement must enforce, whatever the encoding it came from: the
 // suite is named, every workload is named, and within one workload every

@@ -136,14 +136,3 @@ func TestTimeSeries(t *testing.T) {
 		t.Fatalf("Series = %v", s)
 	}
 }
-
-func TestSeriesFor(t *testing.T) {
-	var m1, m2 Measurement
-	m1.Series.Samples[LLCLoadMisses] = []float64{5}
-	m2.Series.Samples[LLCLoadMisses] = []float64{6}
-	sm := &SuiteMeasurement{Workloads: []Measurement{m1, m2}}
-	tz := sm.SeriesFor(LLCLoadMisses)
-	if len(tz) != 2 || tz[0][0] != 5 || tz[1][0] != 6 {
-		t.Fatalf("SeriesFor = %v", tz)
-	}
-}

@@ -157,15 +157,27 @@ func ResampleToPercentiles(series []float64, points int) []float64 {
 		panic(fmt.Sprintf("stat: ResampleToPercentiles with points=%d", points))
 	}
 	out := make([]float64, points+1)
+	ResampleToPercentilesInto(out, series)
+	return out
+}
+
+// ResampleToPercentilesInto is ResampleToPercentiles writing the
+// len(out) = points+1 grid samples into out instead of a new slice.
+func ResampleToPercentilesInto(out, series []float64) {
+	points := len(out) - 1
+	if points < 1 {
+		panic(fmt.Sprintf("stat: ResampleToPercentiles with points=%d", points))
+	}
 	n := len(series)
 	if n == 0 {
-		return out
+		clear(out)
+		return
 	}
 	if n == 1 {
 		for i := range out {
 			out[i] = series[0]
 		}
-		return out
+		return
 	}
 	for i := 0; i <= points; i++ {
 		pos := float64(i) / float64(points) * float64(n-1)
@@ -178,7 +190,6 @@ func ResampleToPercentiles(series []float64, points int) []float64 {
 		frac := pos - float64(lo)
 		out[i] = series[lo]*(1-frac) + series[hi]*frac
 	}
-	return out
 }
 
 // CDFNormalize maps each value of the series to 100·F(v), where F is the

@@ -217,9 +217,20 @@ func Compile(spec Spec) (*Program, error) {
 			if !sharedRegion {
 				storeBase = base + loadSpec.Footprint() + guard
 			}
-			storeGen, err := storeSpec.Instantiate(storeBase, src.Split())
-			if err != nil {
-				return nil, fmt.Errorf("workload: spec %q phase %d store pattern: %w", spec.Name, i, err)
+			// Split even when the store generator goes unbuilt: the
+			// phase's own stream draws the instruction kinds next, and
+			// must draw the same values either way.
+			storeSrc := src.Split()
+			var storeGen AddrGen = noStores{}
+			if ph.StoreFrac != 0 || storeSpec != loadSpec {
+				// A phase without stores never draws a store address, so
+				// its store generator is built only to report a pattern
+				// the load side has not already validated. Skipping it
+				// saves a load-only chase phase a second full shuffle.
+				storeGen, err = storeSpec.Instantiate(storeBase, storeSrc)
+				if err != nil {
+					return nil, fmt.Errorf("workload: spec %q phase %d store pattern: %w", spec.Name, i, err)
+				}
 			}
 			cp.storeGen = newAddrStream(storeGen)
 			base = storeBase + storeSpec.Footprint() + guard
@@ -261,6 +272,15 @@ func Compile(spec Spec) (*Program, error) {
 	// Absorb rounding into the final phase.
 	prog.bounds[len(prog.bounds)-1] = spec.Instructions
 	return prog, nil
+}
+
+// noStores stands in for the store generator of a phase whose store
+// fraction is 0: emit never draws from it, and a draw panics rather than
+// return addresses no pattern produced.
+type noStores struct{}
+
+func (noStores) NextBatch([]uint64) {
+	panic("workload: store address drawn in a phase without stores")
 }
 
 // Name implements uarch.Program.

@@ -212,6 +212,49 @@ func TestStorePatternDefaultsToLoadPattern(t *testing.T) {
 	}
 }
 
+// TestLoadOnlyPhaseBuildsNoStoreGen pins when Compile skips a phase's
+// store generator: only when the phase has no stores and the store
+// pattern is the load pattern, so an invalid store pattern is still
+// reported. The skipped stream panics if drawn.
+func TestLoadOnlyPhaseBuildsNoStoreGen(t *testing.T) {
+	phase := func(storeFrac float64, store PatternSpec) Spec {
+		return Spec{
+			Name: "lo", Instructions: 1000, Seed: 5,
+			Phases: []Phase{{
+				Name: "m", Weight: 1, LoadFrac: 0.5, StoreFrac: storeFrac,
+				LoadPattern: PointerChase{WorkingSet: 64 << 10}, StorePattern: store,
+			}},
+		}
+	}
+	prog, err := Compile(phase(0, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gens := chaseGensOf(prog); len(gens) != 1 {
+		t.Fatalf("load-only chase phase built %d chase generators, want 1", len(gens))
+	}
+	for _, in := range drainProgram(prog) {
+		if in.Kind == uarch.Store {
+			t.Fatal("load-only phase emitted a store")
+		}
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("drawing from the skipped store stream did not panic")
+			}
+		}()
+		prog.phases[0].storeGen.next()
+	}()
+
+	if prog, err := Compile(phase(0.1, nil)); err != nil || len(chaseGensOf(prog)) != 2 {
+		t.Fatalf("phase with stores: err %v, want a store chase generator", err)
+	}
+	if _, err := Compile(phase(0, PointerChase{})); err == nil {
+		t.Fatal("invalid store pattern of a phase without stores accepted")
+	}
+}
+
 func TestSyscallFaults(t *testing.T) {
 	spec := Spec{
 		Name: "sys", Instructions: 10000, Seed: 9,
