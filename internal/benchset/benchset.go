@@ -324,24 +324,23 @@ func NewStrideProg(limit uint64) *StrideProg { return &StrideProg{limit: limit} 
 
 func (p *StrideProg) Name() string { return "stride" }
 
-// NextBatch implements uarch.Program.
-func (p *StrideProg) NextBatch(dst []uarch.Instr) int {
-	if rem := p.limit - p.n; rem < uint64(len(dst)) {
-		dst = dst[:rem]
+// NextBlock implements uarch.Program.
+func (p *StrideProg) NextBlock(b *uarch.Block, n int) int {
+	b.Reset(n)
+	if rem := p.limit - p.n; rem < uint64(n) {
+		n = int(rem)
 	}
-	for k := range dst {
-		i := p.n + uint64(k)
+	for k := 0; k < n; k++ {
+		i, pos := p.n+uint64(k), uint32(k)
 		switch i % 8 {
 		case 0, 3:
-			dst[k] = uarch.Instr{Kind: uarch.Load, Addr: i * 24}
+			b.Mem = append(b.Mem, uarch.MemRef{Addr: i * 24, Pos: pos})
 		case 5:
-			dst[k] = uarch.Instr{Kind: uarch.Store, Addr: i * 40}
+			b.Mem = append(b.Mem, uarch.MemRef{Addr: i * 40, Pos: pos, Store: true})
 		case 6:
-			dst[k] = uarch.Instr{Kind: uarch.Branch, PC: 0x400000 + i%32*4, Taken: i%3 != 0}
-		default:
-			dst[k] = uarch.Instr{Kind: uarch.ALU}
+			b.Branches = append(b.Branches, uarch.BranchRef{PC: 0x400000 + i%32*4, Pos: pos, Taken: i%3 != 0})
 		}
 	}
-	p.n += uint64(len(dst))
-	return len(dst)
+	p.n += uint64(n)
+	return n
 }

@@ -522,51 +522,89 @@ func TestEntryReadersRejectTheSameShapes(t *testing.T) {
 	}
 }
 
-// FuzzCacheGet writes arbitrary bytes as a cache entry. Get must never
-// panic: it either misses and removes the entry, or returns a
-// measurement that passes Validate and survives a Put/Get round trip bit
-// for bit.
-func FuzzCacheGet(f *testing.F) {
+// entrySeeds are the inputs FuzzCacheGet starts from and
+// TestGetSeedEntriesFromFile reads from disk: valid entries, their torn
+// prefixes and bytes that are no entry at all.
+func entrySeeds(tb testing.TB) [][]byte {
+	var seeds [][]byte
 	for _, sm := range []*perf.SuiteMeasurement{tinyMeasurement(), specialMeasurement()} {
 		valid, err := encodeEntry(sm)
 		if err != nil {
-			f.Fatal(err)
+			tb.Fatal(err)
 		}
-		f.Add(valid)
-		f.Add(valid[:len(valid)/2])
-		f.Add(valid[:len(valid)-crcLen])
+		seeds = append(seeds, valid, valid[:len(valid)/2], valid[:len(valid)-crcLen])
 	}
-	f.Add([]byte{})
-	f.Add([]byte(entryMagic))
-	f.Add([]byte("{not an entry"))
-	st, err := Open(f.TempDir())
-	if err != nil {
-		f.Fatal(err)
+	return append(seeds, []byte{}, []byte(entryMagic), []byte("{not an entry"))
+}
+
+// FuzzCacheGet decodes arbitrary bytes as the contents of a cache entry
+// file, with the decoder Store.Get runs on them. Decoding must never
+// panic: it either rejects the bytes, or returns a measurement that
+// passes Validate and survives an encode/decode round trip bit for bit.
+// Each input is decoded in memory; TestGetSeedEntriesFromFile covers the
+// file read, removal and Put around the decoder.
+func FuzzCacheGet(f *testing.F) {
+	for _, seed := range entrySeeds(f) {
+		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const key = "fuzz"
+		m, err := decodeEntry(data)
+		if err != nil {
+			return
+		}
+		if err := m.Validate(); err != nil {
+			t.Fatalf("decoded an invalid measurement: %v", err)
+		}
+		buf, err := encodeEntry(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		again, err := decodeEntry(buf)
+		if err != nil {
+			t.Fatalf("re-encoded entry rejected: %v", err)
+		}
+		sameBits(t, again, m)
+	})
+}
+
+// TestGetSeedEntriesFromFile writes each of FuzzCacheGet's seeds as an
+// entry file. Get either misses and removes the file, or returns a
+// measurement that passes Validate and survives a Put/Get round trip bit
+// for bit.
+func TestGetSeedEntriesFromFile(t *testing.T) {
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const key = "seed"
+	hits := 0
+	for i, data := range entrySeeds(t) {
 		if err := os.WriteFile(st.path(key), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		m, ok := st.Get(key)
 		if !ok {
 			if _, err := os.Stat(st.path(key)); !os.IsNotExist(err) {
-				t.Fatalf("missed entry not removed: %v", err)
+				t.Fatalf("seed %d: missed entry not removed: %v", i, err)
 			}
-			return
+			continue
 		}
+		hits++
 		if err := m.Validate(); err != nil {
-			t.Fatalf("Get returned an invalid measurement: %v", err)
+			t.Fatalf("seed %d: Get returned an invalid measurement: %v", i, err)
 		}
 		if err := st.Put(key, m); err != nil {
 			t.Fatal(err)
 		}
 		again, ok := st.Get(key)
 		if !ok {
-			t.Fatal("re-put entry missed")
+			t.Fatalf("seed %d: re-put entry missed", i)
 		}
 		sameBits(t, again, m)
-	})
+	}
+	if hits != 2 {
+		t.Fatalf("%d seeds hit, want the 2 valid entries", hits)
+	}
 }
 
 // stockMeasurements simulates the six stock suites at the default

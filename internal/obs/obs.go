@@ -71,6 +71,14 @@ const (
 	CounterSilhouettePairs    = "silhouette.pairs"
 )
 
+// Names of the simulator's work counters (uarch.Machine.RunContext): the
+// memory references, branches and syscalls a run's program emitted.
+const (
+	CounterSimInstrMem     = "sim.instr.mem"
+	CounterSimInstrBranch  = "sim.instr.branch"
+	CounterSimInstrSyscall = "sim.instr.syscall"
+)
+
 // maxAttrs is the per-span attribute capacity. Spans carry a small fixed
 // set (suite, workload, metric, cache verdict); overflow is dropped
 // rather than allocated.

@@ -42,8 +42,13 @@ func RunMulticoreContext(ctx context.Context, s Suite, cfg Config, threads int) 
 		Workloads: make([]perf.Measurement, len(s.Specs)),
 	}
 
-	err := par.DoErr(ctx, len(s.Specs), func(_, i int) error {
-		meas, err := runOneMulticore(ctx, s.Specs[i], cfg, threads)
+	// One multicore machine per worker, held across every workload that
+	// worker shards, as RunContext holds its machines: Reconfigure resets
+	// it between items, so the shared L3 and the cores are allocated once
+	// per worker instead of once per workload.
+	machines := make([]*uarch.MultiCore, par.Workers())
+	err := par.DoErr(ctx, len(s.Specs), func(worker, i int) error {
+		meas, err := runOneMulticore(ctx, s.Specs[i], cfg, threads, &machines[worker])
 		if err != nil {
 			return stage.Wrap(stage.Measure, s.Name, s.Specs[i].Name, err)
 		}
@@ -56,7 +61,10 @@ func RunMulticoreContext(ctx context.Context, s Suite, cfg Config, threads int) 
 	return sm, nil
 }
 
-func runOneMulticore(ctx context.Context, spec workload.Spec, cfg Config, threads int) (*perf.Measurement, error) {
+// runOneMulticore measures one workload on the worker's multicore
+// machine, held in slot: reconfigured in place when its geometry and core
+// count match, replaced by a new one otherwise.
+func runOneMulticore(ctx context.Context, spec workload.Spec, cfg Config, threads int, slot **uarch.MultiCore) (*perf.Measurement, error) {
 	progs := make([]uarch.Program, threads)
 	compiled := make([]*workload.Program, 0, threads)
 	defer func() {
@@ -84,9 +92,13 @@ func runOneMulticore(ctx context.Context, spec workload.Spec, cfg Config, thread
 		mc.SampleInterval = 1
 	}
 	mc.CountersOnly = cfg.TotalsOnly
-	m, err := uarch.NewMultiCore(mc, threads)
-	if err != nil {
-		return nil, err
+	m := *slot
+	if m == nil || !m.Reconfigure(mc, threads) {
+		var err error
+		if m, err = uarch.NewMultiCore(mc, threads); err != nil {
+			return nil, err
+		}
+		*slot = m
 	}
 	return m.RunParallelContext(ctx, progs, spec.Instructions)
 }

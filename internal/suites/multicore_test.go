@@ -1,9 +1,13 @@
 package suites
 
 import (
+	"context"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"perspector/internal/perf"
+	"perspector/internal/uarch"
 	"perspector/internal/workload"
 )
 
@@ -128,5 +132,47 @@ func TestRunMulticoreContentionVisible(t *testing.T) {
 	multiRate := rate(&multi.Workloads[0])
 	if multiRate <= soloRate {
 		t.Fatalf("no contention: solo LLC miss rate %.3f, 4-thread %.3f", soloRate, multiRate)
+	}
+}
+
+// TestRunOneMulticoreReusesMachine runs two workloads through one
+// worker's slot, as RunMulticore does: the second reuses the first's
+// multicore machine and allocates less than one L3 tag array (one word
+// per line), so no new L3 is built; and the reused machine measures the
+// second workload exactly as a new one does.
+func TestRunOneMulticoreReusesMachine(t *testing.T) {
+	cfg := testConfig()
+	s := stock(t, "nbench", cfg)
+	ctx := context.Background()
+	var slot *uarch.MultiCore
+	if _, err := runOneMulticore(ctx, s.Specs[0], cfg, 2, &slot); err != nil {
+		t.Fatal(err)
+	}
+	first := slot
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got, err := runOneMulticore(ctx, s.Specs[1], cfg, 2, &slot)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if slot != first {
+		t.Fatal("second workload replaced the worker's multicore machine")
+	}
+	l3 := uint64(cfg.Machine.L3.SizeB / cfg.Machine.L3.LineB * 8)
+	if bytes := after.TotalAlloc - before.TotalAlloc; bytes >= l3 {
+		t.Errorf("second workload allocated %d bytes, one L3 tag array is %d", bytes, l3)
+	}
+
+	var fresh *uarch.MultiCore
+	want, err := runOneMulticore(ctx, s.Specs[1], cfg, 2, &fresh)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Totals != want.Totals || !reflect.DeepEqual(got.Series, want.Series) {
+		t.Error("reused multicore machine measures differently from a new one")
+	}
+	if fresh == first {
+		t.Fatal("an empty slot did not get a new machine")
 	}
 }

@@ -99,9 +99,30 @@ func (pr *ProgramReader) refill() bool {
 	return n > 0
 }
 
-// NextBatch implements uarch.Program: it parses up to len(dst)
-// records. A short count means the stream ended — cleanly at EOF, or on
-// the first malformed record (check Err).
+// NextBlock implements uarch.Program: it parses up to n records into b.
+// A short count means the stream ended — cleanly at EOF, or on the first
+// malformed record (check Err).
+func (pr *ProgramReader) NextBlock(b *uarch.Block, n int) int {
+	b.Reset(n)
+	var chunk [256]uarch.Instr
+	got := 0
+	for got < n {
+		want := min(n-got, len(chunk))
+		k := pr.NextBatch(chunk[:want])
+		for i := range chunk[:k] {
+			b.Append(got+i, chunk[i])
+		}
+		got += k
+		if k < want {
+			break
+		}
+	}
+	return got
+}
+
+// NextBatch parses up to len(dst) records into dst in log order. A
+// short count means the stream ended — cleanly at EOF, or on the first
+// malformed record (check Err).
 func (pr *ProgramReader) NextBatch(dst []uarch.Instr) int {
 	n := 0
 	for n < len(dst) && pr.err == nil {
@@ -236,6 +257,7 @@ func parseBit(b []byte) (bool, bool) {
 func WriteInstrLog(w io.Writer, prog uarch.Program, max uint64) (uint64, error) {
 	bw := bufio.NewWriterSize(w, 1<<20)
 	var (
+		blk     uarch.Block
 		block   [1024]uarch.Instr
 		scratch [32]byte
 		n       uint64
@@ -245,7 +267,8 @@ func WriteInstrLog(w io.Writer, prog uarch.Program, max uint64) (uint64, error) 
 		if max != 0 && max-n < want {
 			want = max - n
 		}
-		got := prog.NextBatch(block[:want])
+		got := prog.NextBlock(&blk, int(want))
+		blk.Instrs(block[:got])
 		for _, in := range block[:got] {
 			var line []byte
 			switch in.Kind {
@@ -265,8 +288,6 @@ func WriteInstrLog(w io.Writer, prog uarch.Program, max uint64) (uint64, error) 
 				line = append(line, ',', bit(in.Taken), '\n')
 			case uarch.Syscall:
 				line = append(scratch[:0], 'Y', ',', bit(in.Fault), '\n')
-			default:
-				return n, fmt.Errorf("trace: unknown instruction kind %d", in.Kind)
 			}
 			if _, err := bw.Write(line); err != nil {
 				return n, err

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"perspector/internal/obs"
 	"perspector/internal/perf"
 )
 
@@ -36,17 +37,19 @@ type Instr struct {
 	Fault bool
 }
 
-// Program is a workload: a generator of dynamic instructions, pulled in
-// blocks so the machine pays one interface dispatch per block rather than
-// per instruction.
+// Program is a workload: a generator of dynamic instructions, pulled a
+// kind-split Block at a time so the machine pays one interface dispatch
+// per block rather than per instruction.
 type Program interface {
 	// Name identifies the workload.
 	Name() string
-	// NextBatch produces up to len(dst) instructions into dst[0:n] and
-	// returns n. A short count means the program ended. The sequence must
-	// not depend on how callers size dst: n draws through NextBatch of
-	// one produce exactly the instructions of one NextBatch of n.
-	NextBatch(dst []Instr) int
+	// NextBlock replaces b's lists with the program's next instructions,
+	// at most n of them, and returns how many it produced, ALU
+	// instructions included; their positions run from 0 to the count
+	// minus one. A short count means the program ended. The sequence must
+	// not depend on how callers size n: n blocks of one produce exactly
+	// the instructions of one block of n.
+	NextBlock(b *Block, n int) int
 }
 
 // MachineConfig assembles the full core model. Latencies are in cycles.
@@ -121,7 +124,7 @@ type Machine struct {
 	bp         *BranchPredictor
 	pageBits   uint
 	touched    pageBitmap // pages already faulted in
-	batch      []Instr    // block buffer reused across RunContext calls
+	blk        Block      // block buffer reused across RunContext calls
 	// noiseAcc carries fractional OS-noise event counts between samples
 	// so small rates accumulate deterministically.
 	noiseAcc [perf.NumCounters]float64
@@ -252,13 +255,11 @@ func checkStride(sampleInterval uint64) uint64 {
 	return cancelStride
 }
 
-// blockCap bounds the batch size for RunContext; it equals cancelStride
-// so a full block never delays a cancellation poll. The emit-then-step
-// round trip streams the buffer sequentially, so the ~96 KiB worst case
-// prefetches cleanly — smaller blocks measured slower, not faster.
+// blockCap bounds the block size for RunContext; it equals cancelStride
+// so a full block never delays a cancellation poll.
 const blockCap = cancelStride
 
-// blockSizeFor picks the batch size for RunContext: ideally the largest
+// blockSizeFor picks the block size for RunContext: ideally the largest
 // divisor of the sample interval not exceeding blockCap, so in steady
 // state every block is full and a sample boundary coincides with a block
 // boundary. Intervals with no usable divisor (e.g. primes) fall back to
@@ -289,11 +290,12 @@ const maxSamplePrealloc = 1 << 20
 // discarded — counters from an interrupted execution would silently skew
 // every downstream score.
 //
-// Instructions are pulled in fixed blocks through NextBatch. Sampling
+// Instructions are pulled in fixed blocks through NextBlock. Sampling
 // uses countdown arithmetic: a block never crosses a sample boundary, so
 // the PMU snapshot happens at exactly the instruction numbers a
 // per-instruction loop would sample at, and every emitted counter stays
-// bit-identical to it.
+// bit-identical to it. The run's emitted instructions by kind go to
+// ctx's obs recorder once, at the end of the run, cancelled or not.
 func (m *Machine) RunContext(ctx context.Context, prog Program, maxInstr uint64) (*perf.Measurement, error) {
 	if maxInstr == 0 {
 		return nil, fmt.Errorf("uarch: Run with maxInstr == 0")
@@ -315,10 +317,14 @@ func (m *Machine) RunContext(ctx context.Context, prog Program, maxInstr uint64)
 	}
 
 	block := blockSizeFor(interval)
-	if uint64(cap(m.batch)) < block {
-		m.batch = make([]Instr, block)
-	}
-	buf := m.batch[:block]
+	blk := &m.blk
+	var memRefs, branches, syscalls uint64 // the run's work counts
+	defer func() {
+		rec := obs.FromContext(ctx)
+		rec.Count(obs.CounterSimInstrMem, int64(memRefs))
+		rec.Count(obs.CounterSimInstrBranch, int64(branches))
+		rec.Count(obs.CounterSimInstrSyscall, int64(syscalls))
+	}()
 
 	checkEvery := cancelStride / block // ≥ 1 because block ≤ cancelStride
 	var sinceCheck uint64
@@ -333,11 +339,14 @@ func (m *Machine) RunContext(ctx context.Context, prog Program, maxInstr uint64)
 		if interval > 0 && toSample < n {
 			n = toSample
 		}
-		got := prog.NextBatch(buf[:n])
+		got := prog.NextBlock(blk, int(n))
+		memRefs += uint64(len(blk.Mem))
+		branches += uint64(len(blk.Branches))
+		syscalls += uint64(len(blk.Syscalls))
 		// CPUCycles accumulates locally and lands in one Add per block;
 		// blocks never cross a sample boundary, so every sample still
 		// snapshots identical cumulative counters.
-		pmu.Add(perf.CPUCycles, m.stepBlock(buf[:got], pmu))
+		pmu.Add(perf.CPUCycles, m.stepBlock(blk, got, pmu))
 		executed += uint64(got)
 		if interval > 0 {
 			toSample -= uint64(got) // got ≤ n ≤ toSample: no underflow
@@ -370,16 +379,22 @@ func (m *Machine) RunContext(ctx context.Context, prog Program, maxInstr uint64)
 	return meas, nil
 }
 
-// stepBlock executes a block of instructions, charging PMU events, and
+// stepBlock executes a block of n instructions, charging PMU events, and
 // returns the block's total cycle cost (the caller accounts CPUCycles).
-// The per-kind switch lives directly in the block loop and every config
-// latency is hoisted into a local, so the hot path pays no call or
-// config-field reload per instruction. Event counts accumulate in locals
-// and flush to the PMU once per block — RunContext never lets a block
-// cross a sample boundary, so every sample reads the same values it
-// would with per-instruction Adds. The multicore interleaver steps
-// one-instruction blocks.
-func (m *Machine) stepBlock(buf []Instr, pmu *perf.Values) uint64 {
+// Each kind's list runs in its own loop (see Block for why that is
+// exact): every instruction pays its issue cycle, and the loops add the
+// memory stalls, mispredictions and syscall costs.
+func (m *Machine) stepBlock(b *Block, n int, pmu *perf.Values) uint64 {
+	return uint64(n) + m.stepMem(b.Mem, pmu) + m.stepBranches(b.Branches, pmu) + m.stepSyscalls(b.Syscalls, pmu)
+}
+
+// stepMem executes memory references in order and returns their stall
+// cycles beyond issue. Every config latency is hoisted into a local, so
+// the loop pays no call or config-field reload per reference. Event
+// counts accumulate in locals and flush to the PMU once per call —
+// RunContext never lets a block cross a sample boundary, so every sample
+// reads the same values it would with per-instruction Adds.
+func (m *Machine) stepMem(refs []MemRef, pmu *perf.Values) uint64 {
 	var (
 		tlb, l1, l2, l3 = m.tlb, m.l1, m.l2, m.l3
 		l1Lat           = uint64(m.cfg.L1.LatencyC)
@@ -389,113 +404,88 @@ func (m *Machine) stepBlock(buf []Instr, pmu *perf.Values) uint64 {
 		walkC           = uint64(m.cfg.TLB.WalkCycles)
 		tlbL2Hit        = uint64(m.cfg.TLB.L2HitCycles)
 		minorFault      = uint64(m.cfg.MinorFaultCycles)
-		mispredict      = uint64(m.cfg.MispredictPenalty)
-		syscallC        = uint64(m.cfg.SyscallCycles)
 		prefetch        = m.cfg.NextLinePrefetch
 		lineB           = uint64(m.cfg.L2.LineB)
 		pageBits        = m.pageBits
 	)
-	cycles := uint64(len(buf)) // base CPI of 1 for issue
 	var (
-		dtlbLoads, dtlbStores, dtlbLoadMiss, dtlbStoreMiss uint64
-		walkPending, pageFaults                            uint64
-		llcLoads, llcStores, llcLoadMiss, llcStoreMiss     uint64
-		stallsMem, branches, branchMiss                    uint64
+		cycles, stores, dtlbLoadMiss, dtlbStoreMiss    uint64
+		walkPending, pageFaults                        uint64
+		llcLoads, llcStores, llcLoadMiss, llcStoreMiss uint64
+		stallsMem                                      uint64
 	)
-	for i := range buf {
-		in := &buf[i]
-		switch in.Kind {
-		case ALU:
-			// Base cycle only.
-
-		case Load, Store:
-			isLoad := in.Kind == Load
-			// dTLB lookup. Translate and Access inline as their repeat
-			// memos (same page / line as the previous lookup), so the
-			// common local-access case resolves without a call; block-level
-			// memo duplication on top of that measured as a pure loss.
+	for i := range refs {
+		r := &refs[i]
+		addr, isLoad := r.Addr, !r.Store
+		if r.Store {
+			stores++
+		}
+		// dTLB lookup. Translate and Access inline as their repeat
+		// memos (same page / line as the previous lookup), so the
+		// common local-access case resolves without a call; block-level
+		// memo duplication on top of that measured as a pure loss.
+		tr := tlb.Translate(addr)
+		if tr.L1Miss {
 			if isLoad {
-				dtlbLoads++
+				dtlbLoadMiss++
 			} else {
-				dtlbStores++
+				dtlbStoreMiss++
 			}
-			tr := tlb.Translate(in.Addr)
-			if tr.L1Miss {
+			if tr.Walked {
+				walkPending += walkC
+				cycles += walkC
+				// First touch of a page raises a minor fault.
+				if !m.touched.testAndSet(addr >> pageBits) {
+					pageFaults++
+					cycles += minorFault
+				}
+			} else {
+				cycles += tlbL2Hit
+			}
+		}
+
+		// Cache hierarchy. L1 hits overlap with the pipeline.
+		var memStall uint64
+		switch {
+		case l1.Access(addr):
+			memStall = l1Lat
+		case l2.Access(addr):
+			memStall = l2Lat
+		default:
+			// Reached the LLC.
+			if isLoad {
+				llcLoads++
+			} else {
+				llcStores++
+			}
+			if l3.Access(addr) {
+				memStall = l3Lat
+			} else {
 				if isLoad {
-					dtlbLoadMiss++
+					llcLoadMiss++
 				} else {
-					dtlbStoreMiss++
+					llcStoreMiss++
 				}
-				if tr.Walked {
-					walkPending += walkC
-					cycles += walkC
-					// First touch of a page raises a minor fault.
-					if !m.touched.testAndSet(in.Addr >> pageBits) {
-						pageFaults++
-						cycles += minorFault
-					}
-				} else {
-					cycles += tlbL2Hit
-				}
+				memStall = dram
 			}
-
-			// Cache hierarchy. L1 hits overlap with the pipeline.
-			var memStall uint64
-			switch {
-			case l1.Access(in.Addr):
-				memStall = l1Lat
-			case l2.Access(in.Addr):
-				memStall = l2Lat
-			default:
-				// Reached the LLC.
-				if isLoad {
-					llcLoads++
-				} else {
-					llcStores++
-				}
-				if l3.Access(in.Addr) {
-					memStall = l3Lat
-				} else {
-					if isLoad {
-						llcLoadMiss++
-					} else {
-						llcStoreMiss++
-					}
-					memStall = dram
-				}
-				if prefetch {
-					// Install the next line into L2/L3 silently (prefetches
-					// are not demand events and overlap with the demand miss).
-					next := in.Addr + lineB
-					l2.Access(next)
-					l3.Access(next)
-				}
+			if prefetch {
+				// Install the next line into L2/L3 silently (prefetches
+				// are not demand events and overlap with the demand miss).
+				next := addr + lineB
+				l2.Access(next)
+				l3.Access(next)
 			}
-			// L1 hits overlap with the pipeline; anything slower stalls.
-			if memStall > l1Lat {
-				stall := memStall - l1Lat
-				stallsMem += stall
-				cycles += stall
-			}
-
-		case Branch:
-			branches++
-			if !m.bp.Predict(in.PC, in.Taken) {
-				branchMiss++
-				cycles += mispredict
-			}
-
-		case Syscall:
-			cycles += syscallC
-			if in.Fault {
-				pageFaults++
-				cycles += minorFault
-			}
+		}
+		// L1 hits overlap with the pipeline; anything slower stalls.
+		if memStall > l1Lat {
+			stall := memStall - l1Lat
+			stallsMem += stall
+			cycles += stall
 		}
 	}
 
-	pmu.Add(perf.DTLBLoads, dtlbLoads)
-	pmu.Add(perf.DTLBStores, dtlbStores)
+	pmu.Add(perf.DTLBLoads, uint64(len(refs))-stores)
+	pmu.Add(perf.DTLBStores, stores)
 	pmu.Add(perf.DTLBLoadMisses, dtlbLoadMiss)
 	pmu.Add(perf.DTLBStoreMisses, dtlbStoreMiss)
 	pmu.Add(perf.DTLBWalkPending, walkPending)
@@ -505,9 +495,34 @@ func (m *Machine) stepBlock(buf []Instr, pmu *perf.Values) uint64 {
 	pmu.Add(perf.LLCLoadMisses, llcLoadMiss)
 	pmu.Add(perf.LLCStoreMisses, llcStoreMiss)
 	pmu.Add(perf.StallsMemAny, stallsMem)
-	pmu.Add(perf.BranchInstructions, branches)
-	pmu.Add(perf.BranchMisses, branchMiss)
 	return cycles
+}
+
+// stepBranches predicts branches in order and returns their
+// misprediction cycles.
+func (m *Machine) stepBranches(refs []BranchRef, pmu *perf.Values) uint64 {
+	bp, mispredict := m.bp, uint64(m.cfg.MispredictPenalty)
+	var miss uint64
+	for i := range refs {
+		if !bp.Predict(refs[i].PC, refs[i].Taken) {
+			miss++
+		}
+	}
+	pmu.Add(perf.BranchInstructions, uint64(len(refs)))
+	pmu.Add(perf.BranchMisses, miss)
+	return miss * mispredict
+}
+
+// stepSyscalls charges syscalls and returns their cycles beyond issue.
+func (m *Machine) stepSyscalls(refs []SyscallRef, pmu *perf.Values) uint64 {
+	var faults uint64
+	for i := range refs {
+		if refs[i].Fault {
+			faults++
+		}
+	}
+	pmu.Add(perf.PageFaults, faults)
+	return uint64(len(refs))*uint64(m.cfg.SyscallCycles) + faults*uint64(m.cfg.MinorFaultCycles)
 }
 
 // CacheStats exposes per-level accesses/misses for tests and diagnostics.

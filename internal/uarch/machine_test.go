@@ -15,10 +15,14 @@ type scriptProgram struct {
 }
 
 func (p *scriptProgram) Name() string { return p.name }
-func (p *scriptProgram) NextBatch(dst []Instr) int {
-	n := copy(dst, p.instrs[p.pos:])
-	p.pos += n
-	return n
+func (p *scriptProgram) NextBlock(b *Block, n int) int {
+	b.Reset(n)
+	k := 0
+	for ; k < n && p.pos < len(p.instrs); k++ {
+		b.Append(k, p.instrs[p.pos])
+		p.pos++
+	}
+	return k
 }
 
 func newTestMachine(t testing.TB) *Machine {

@@ -20,6 +20,7 @@ import (
 type MultiCore struct {
 	cfg   MachineConfig
 	cores []*Machine
+	feeds []coreFeed // one per core, kept across runs
 	l3    *Cache
 }
 
@@ -33,7 +34,7 @@ func NewMultiCore(cfg MachineConfig, n int) (*MultiCore, error) {
 	if err != nil {
 		return nil, err
 	}
-	mc := &MultiCore{cfg: cfg, l3: shared}
+	mc := &MultiCore{cfg: cfg, l3: shared, feeds: make([]coreFeed, n)}
 	for i := 0; i < n; i++ {
 		m, err := newMachine(cfg, shared)
 		if err != nil {
@@ -55,6 +56,25 @@ func (mc *MultiCore) Reset() {
 	mc.l3.Reset()
 }
 
+// Reconfigure rewrites the non-structural configuration of every core
+// (latencies, sampling, prefetch) and resets the machine to power-on
+// state, like Machine.Reconfigure, and reports whether it could: a cfg
+// with different structural geometry or a different core count needs a
+// different machine and leaves this one untouched. Suite workers use it
+// to keep one multicore machine, shared L3 included, across the
+// workloads they shard.
+func (mc *MultiCore) Reconfigure(cfg MachineConfig, cores int) bool {
+	if cores != len(mc.cores) || keyOf(cfg) != keyOf(mc.cfg) {
+		return false
+	}
+	mc.cfg = cfg
+	for _, c := range mc.cores {
+		c.cfg = cfg
+	}
+	mc.Reset()
+	return true
+}
+
 // RunParallel executes one program per core (len(progs) must equal the
 // core count), interleaving instructions round-robin until every program
 // has executed maxInstrPerCore instructions or ended. It returns one
@@ -70,10 +90,12 @@ func (mc *MultiCore) RunParallel(progs []Program, maxInstrPerCore uint64) (*perf
 // interleaved loop polls ctx on the same stride as Machine.RunContext,
 // measured in aggregate instructions.
 //
-// Each core fetches its program a block at a time into its machine's
-// block buffer, but steps and samples one instruction per turn. Programs
-// are independent of one another and of machine state, so fetching ahead
-// leaves every instruction stream, and so every counter, unchanged.
+// Each core fetches its program a block at a time into its own feed, but
+// steps and samples one instruction per turn: the next position of the
+// block is the head of its memory, branch or syscall list, or else an
+// ALU instruction. Programs are independent of one another and of
+// machine state, so fetching ahead leaves every instruction stream, and
+// so every counter, unchanged.
 func (mc *MultiCore) RunParallelContext(ctx context.Context, progs []Program, maxInstrPerCore uint64) (*perf.Measurement, error) {
 	if len(progs) != len(mc.cores) {
 		return nil, fmt.Errorf("uarch: RunParallel got %d programs for %d cores", len(progs), len(mc.cores))
@@ -88,28 +110,25 @@ func (mc *MultiCore) RunParallelContext(ctx context.Context, progs []Program, ma
 	ts.Interval = interval
 
 	stride := checkStride(interval)
-	feeds := make([]coreFeed, len(progs))
-	for i := range feeds {
-		feeds[i].left = maxInstrPerCore
+	for i := range mc.feeds {
+		mc.feeds[i].start(maxInstrPerCore)
 	}
 	remaining := len(progs)
 	var total uint64
 	var prev perf.Values
 	for remaining > 0 {
 		for i, prog := range progs {
-			f, core := &feeds[i], mc.cores[i]
+			f, core := &mc.feeds[i], mc.cores[i]
 			if f.done {
 				continue
 			}
-			if f.pos == len(f.buf) && !f.refill(core, prog) {
+			if f.pos == f.n && !f.refill(prog) {
 				f.done = true
 				remaining--
 				continue
 			}
-			in := f.buf[f.pos : f.pos+1]
-			f.pos++
+			pmu.Add(perf.CPUCycles, f.step(core, pmu))
 			total++
-			pmu.Add(perf.CPUCycles, core.stepBlock(in, pmu))
 			if interval > 0 && total%interval == 0 {
 				core.chargeOSNoise(pmu)
 				if !mc.cfg.CountersOnly {
@@ -130,27 +149,31 @@ func (mc *MultiCore) RunParallelContext(ctx context.Context, progs []Program, ma
 	return meas, nil
 }
 
-// coreFeed is one core's fetched-ahead block: buf[pos:] is still to be
-// stepped, and left is what the budget allows the program to emit.
+// coreFeed is one core's fetched-ahead block: positions pos to n-1 are
+// still to be stepped, mem, br and sys index the heads of the block's
+// lists, and left is what the budget allows the program to emit.
 type coreFeed struct {
-	buf  []Instr
-	pos  int
-	left uint64
-	done bool
+	blk          Block
+	pos, n       int
+	mem, br, sys int
+	left         uint64
+	done         bool
 }
 
 // feedBlock is the per-core fetch size of the interleaver. Stepping is
 // per instruction whatever the fetch size, so a small block amortizes
-// the NextBatch call without a 96 KiB buffer per core.
+// the NextBlock call without a large block per core.
 const feedBlock = 256
 
-// refill fetches the core's next block into the machine's block buffer,
-// never past the budget. It reports false once the budget is spent or the
-// program has ended.
-func (f *coreFeed) refill(m *Machine, prog Program) bool {
-	if cap(m.batch) < feedBlock {
-		m.batch = make([]Instr, feedBlock)
-	}
+// start readies the feed for a run with the given per-core budget,
+// keeping its block storage.
+func (f *coreFeed) start(budget uint64) {
+	f.pos, f.n, f.left, f.done = 0, 0, budget, false
+}
+
+// refill fetches the core's next block, never past the budget. It
+// reports false once the budget is spent or the program has ended.
+func (f *coreFeed) refill(prog Program) bool {
 	n := uint64(feedBlock)
 	if f.left < n {
 		n = f.left
@@ -158,11 +181,31 @@ func (f *coreFeed) refill(m *Machine, prog Program) bool {
 	if n == 0 {
 		return false
 	}
-	got := prog.NextBatch(m.batch[:n])
-	f.buf, f.pos = m.batch[:got], 0
+	got := prog.NextBlock(&f.blk, int(n))
+	f.pos, f.n = 0, got
+	f.mem, f.br, f.sys = 0, 0, 0
 	f.left -= uint64(got)
 	if uint64(got) < n {
 		f.left = 0 // short block: the program ended
 	}
 	return got > 0
+}
+
+// step executes the feed's next instruction on m and returns its cycles.
+func (f *coreFeed) step(m *Machine, pmu *perf.Values) uint64 {
+	p := uint32(f.pos)
+	f.pos++
+	b := &f.blk
+	switch {
+	case f.mem < len(b.Mem) && b.Mem[f.mem].Pos == p:
+		f.mem++
+		return 1 + m.stepMem(b.Mem[f.mem-1:f.mem], pmu)
+	case f.br < len(b.Branches) && b.Branches[f.br].Pos == p:
+		f.br++
+		return 1 + m.stepBranches(b.Branches[f.br-1:f.br], pmu)
+	case f.sys < len(b.Syscalls) && b.Syscalls[f.sys].Pos == p:
+		f.sys++
+		return 1 + m.stepSyscalls(b.Syscalls[f.sys-1:f.sys], pmu)
+	}
+	return 1 // ALU
 }

@@ -86,8 +86,8 @@ func TestNextBatchMatchesNext(t *testing.T) {
 // TestAddrGenChunkInvariant draws n addresses one at a time through
 // NextBatch and compares them with one NextBatch of n from an identical
 // generator, for every pattern kind. The Alternating period of 48 does
-// not divide the 64-address refill of addrStream, so its switch points
-// fall inside blocks.
+// not divide the bulk draws of a program's blocks, so its switch points
+// fall inside them.
 func TestAddrGenChunkInvariant(t *testing.T) {
 	patterns := []PatternSpec{
 		Sequential{WorkingSet: 16 << 10, Stride: 192},

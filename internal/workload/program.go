@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"sync"
 
 	"perspector/internal/rng"
 	"perspector/internal/uarch"
@@ -114,8 +115,8 @@ type Program struct {
 
 type compiledPhase struct {
 	p         *Phase
-	loadGen   addrStream
-	storeGen  addrStream
+	loadGen   AddrGen
+	storeGen  AddrGen
 	src       *rng.Source
 	branchPCs []uint64
 	branchCnt []uint32
@@ -143,34 +144,6 @@ type compiledPhase struct {
 // equality impossible at non-integral p·2^53).
 func probThreshold(p float64) uint64 {
 	return uint64(math.Ceil(p * (1 << 53)))
-}
-
-// addrBatch is the refill size of an addrStream.
-const addrBatch = 64
-
-// addrStream buffers an AddrGen so the per-address interface dispatch is
-// amortized over a block refill. Safe for lookahead: every generator owns
-// a private RNG stream, so drawing addresses early produces exactly the
-// values later draws would.
-type addrStream struct {
-	gen AddrGen
-	buf [addrBatch]uint64
-	i   int
-}
-
-func newAddrStream(gen AddrGen) addrStream {
-	// Start with the buffer exhausted so the first next() refills.
-	return addrStream{gen: gen, i: addrBatch}
-}
-
-func (s *addrStream) next() uint64 {
-	if s.i == len(s.buf) {
-		s.gen.NextBatch(s.buf[:])
-		s.i = 0
-	}
-	a := s.buf[s.i]
-	s.i++
-	return a
 }
 
 // Compile validates a spec and builds its deterministic Program. Each
@@ -209,7 +182,7 @@ func Compile(spec Spec) (*Program, error) {
 			if err != nil {
 				return nil, fmt.Errorf("workload: spec %q phase %d load pattern: %w", spec.Name, i, err)
 			}
-			cp.loadGen = newAddrStream(loadGen)
+			cp.loadGen = loadGen
 			sharedRegion := loadSpec == storeSpec ||
 				(ph.LoadPattern != nil && ph.StorePattern == nil) ||
 				(ph.LoadPattern == nil && ph.StorePattern != nil)
@@ -232,7 +205,7 @@ func Compile(spec Spec) (*Program, error) {
 					return nil, fmt.Errorf("workload: spec %q phase %d store pattern: %w", spec.Name, i, err)
 				}
 			}
-			cp.storeGen = newAddrStream(storeGen)
+			cp.storeGen = storeGen
 			base = storeBase + storeSpec.Footprint() + guard
 		}
 
@@ -292,66 +265,143 @@ func (pr *Program) Name() string { return pr.spec.Name }
 // chase generator panics. Releasing twice is a no-op.
 func (pr *Program) Release() {
 	for i := range pr.phases {
-		releaseGen(pr.phases[i].loadGen.gen)
-		releaseGen(pr.phases[i].storeGen.gen)
+		releaseGen(pr.phases[i].loadGen)
+		releaseGen(pr.phases[i].storeGen)
 	}
 }
 
-// emit produces one instruction of this phase, drawing from the phase's
-// RNG streams in a fixed order.
-func (cp *compiledPhase) emit(in *uarch.Instr) {
-	// Each case overwrites every field in one composite store: callers
-	// reuse the same Instr across calls. Kind selection and coin flips
-	// draw Uint64()>>11 — the significand Float64 would build — and
-	// compare in the integer domain (see probThreshold); each comparison
-	// consumes exactly one RNG draw, like the Float64/Bool calls it
-	// replaces, so the streams stay aligned.
-	r := cp.src.Uint64() >> 11
-	switch {
-	case r < cp.uLoad:
-		*in = uarch.Instr{Kind: uarch.Load, Addr: cp.loadGen.next()}
-	case r < cp.uStore:
-		*in = uarch.Instr{Kind: uarch.Store, Addr: cp.storeGen.next()}
-	case r < cp.uBranch:
-		site, lo := bits.Mul64(cp.src.Uint64(), cp.siteBound)
-		for lo < cp.siteThr {
-			site, lo = bits.Mul64(cp.src.Uint64(), cp.siteBound)
+// emit appends take instructions of this phase to b, the first at
+// position pos. It draws the kinds and the branch and syscall outcomes
+// from the phase's RNG stream in one pass, in the order an
+// instruction-at-a-time loop would, then the run's load and store
+// addresses in bulk from the two generators. Each generator owns a
+// private RNG stream, so drawing its addresses after the kinds yields
+// exactly the values interleaved draws would. b must have room for
+// take more instructions (Block.Reset).
+func (cp *compiledPhase) emit(b *uarch.Block, pos, take int) {
+	// Kind selection and coin flips draw Uint64()>>11 — the significand
+	// Float64 would build — and compare in the integer domain (see
+	// probThreshold); each comparison consumes exactly one RNG draw, like
+	// the Float64/Bool calls it replaces, so the streams stay aligned.
+	var (
+		src           = cp.src
+		uLoad, uStore = cp.uLoad, cp.uStore
+		uBranch, uSys = cp.uBranch, cp.uSyscall
+		mem           = b.Mem[len(b.Mem):cap(b.Mem)]
+		br            = b.Branches[len(b.Branches):cap(b.Branches)]
+		sys           = b.Syscalls[len(b.Syscalls):cap(b.Syscalls)]
+		off           = uint64(take)
+		loads, stores uint64
+		nb, ns        int
+	)
+	for p, end := uint32(pos), uint32(pos+take); p < end; p++ {
+		r := src.Uint64() >> 11
+		// Memory references are written without a branch: every
+		// instruction writes the next slot, and only a load (r < uLoad)
+		// or a store (uLoad ≤ r < uStore) keeps it. r and the thresholds
+		// are below 2^54, so a difference's sign bit is the comparison.
+		// Addr holds, for now, where fillAddrs finds the reference's
+		// address: loads from 0 up, stores from off up.
+		ld := (r - uLoad) >> 63
+		st := (r-uStore)>>63 - ld
+		mem[loads+stores] = uarch.MemRef{Addr: ld*loads + st*(off+stores), Pos: p, Store: st != 0}
+		loads += ld
+		stores += st
+		// One unsigned compare, so the common kinds take one
+		// well-predicted branch: r−uStore wraps above uSys−uStore
+		// exactly when r < uStore.
+		if r-uStore >= uSys-uStore {
+			continue // memory or ALU
 		}
-		var taken bool
-		if cp.src.Uint64()>>11 < cp.uRegular {
-			// Loop-style pattern: taken except every period-th execution.
-			cp.branchCnt[site]++
-			taken = cp.branchCnt[site]%cp.branchPer[site] != 0
+		if r < uBranch {
+			site, lo := bits.Mul64(src.Uint64(), cp.siteBound)
+			for lo < cp.siteThr {
+				site, lo = bits.Mul64(src.Uint64(), cp.siteBound)
+			}
+			var taken bool
+			if src.Uint64()>>11 < cp.uRegular {
+				// Loop-style pattern: taken except every period-th execution.
+				cp.branchCnt[site]++
+				taken = cp.branchCnt[site]%cp.branchPer[site] != 0
+			} else {
+				taken = src.Uint64()>>11 < cp.uTaken
+			}
+			br[nb] = uarch.BranchRef{PC: cp.branchPCs[site], Pos: p, Taken: taken}
+			nb++
 		} else {
-			taken = cp.src.Uint64()>>11 < cp.uTaken
+			sys[ns] = uarch.SyscallRef{Pos: p, Fault: src.Uint64()>>11 < cp.uFault}
+			ns++
 		}
-		*in = uarch.Instr{Kind: uarch.Branch, PC: cp.branchPCs[site], Taken: taken}
-	case r < cp.uSyscall:
-		*in = uarch.Instr{Kind: uarch.Syscall, Fault: cp.src.Uint64()>>11 < cp.uFault}
-	default:
-		*in = uarch.Instr{Kind: uarch.ALU}
+	}
+	nm := int(loads + stores)
+	if nm > 0 {
+		cp.fillAddrs(mem[:nm], int(loads), int(stores), b.Scratch(take+int(stores)))
+	}
+	b.Mem = b.Mem[:len(b.Mem)+nm]
+	b.Branches = b.Branches[:len(b.Branches)+nb]
+	b.Syscalls = b.Syscalls[:len(b.Syscalls)+ns]
+}
+
+// fillAddrs sets the addresses of refs: it draws the loads' addresses
+// into addrs from index 0 and the stores' from index len(addrs)-stores,
+// one bulk call per generator, and replaces each reference's Addr, which
+// emit set to an index into addrs, with the address found there.
+func (cp *compiledPhase) fillAddrs(refs []uarch.MemRef, loads, stores int, addrs []uint64) {
+	if loads > 0 {
+		cp.loadGen.NextBatch(addrs[:loads])
+	}
+	if stores > 0 {
+		cp.storeGen.NextBatch(addrs[len(addrs)-stores:])
+	}
+	for i := range refs {
+		refs[i].Addr = addrs[refs[i].Addr]
 	}
 }
 
-// NextBatch implements uarch.Program: it emits up to len(dst)
-// instructions, resolving the active phase once per run instead of once
-// per instruction.
-func (pr *Program) NextBatch(dst []uarch.Instr) int {
-	n := 0
-	for n < len(dst) && pr.pos < pr.spec.Instructions {
+// NextBlock implements uarch.Program: it emits up to n instructions into
+// b, resolving the active phase once per run instead of once per
+// instruction.
+func (pr *Program) NextBlock(b *uarch.Block, n int) int {
+	b.Reset(n)
+	got := 0
+	for got < n && pr.pos < pr.spec.Instructions {
 		for pr.pos >= pr.bounds[pr.cur] {
 			pr.cur++
 		}
-		cp := &pr.phases[pr.cur]
-		take := uint64(len(dst) - n)
+		take := uint64(n - got)
 		if rem := pr.bounds[pr.cur] - pr.pos; rem < take {
 			take = rem
 		}
 		pr.pos += take
-		for ; take > 0; take-- {
-			cp.emit(&dst[n])
-			n++
+		pr.phases[pr.cur].emit(b, got, int(take))
+		got += int(take)
+	}
+	return got
+}
+
+// adapterBlocks holds the blocks NextBatch converts through, so the
+// adapter allocates nothing per call in steady state.
+var adapterBlocks = sync.Pool{New: func() any { return new(uarch.Block) }}
+
+// NextBatch emits up to len(dst) instructions in program order: the
+// stream NextBlock produces, one Instr per instruction. It is for
+// callers that want the instructions themselves, such as stream tests
+// and timing the emitter alone.
+func (pr *Program) NextBatch(dst []uarch.Instr) int {
+	b := adapterBlocks.Get().(*uarch.Block)
+	defer adapterBlocks.Put(b)
+	n := 0
+	for n < len(dst) {
+		want := min(len(dst)-n, adapterChunk)
+		got := pr.NextBlock(b, want)
+		b.Instrs(dst[n : n+got])
+		n += got
+		if got < want {
+			break // program ended
 		}
 	}
 	return n
 }
+
+// adapterChunk bounds the block NextBatch converts through.
+const adapterChunk = 4096

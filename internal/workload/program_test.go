@@ -244,7 +244,7 @@ func TestLoadOnlyPhaseBuildsNoStoreGen(t *testing.T) {
 				t.Error("drawing from the skipped store stream did not panic")
 			}
 		}()
-		prog.phases[0].storeGen.next()
+		prog.phases[0].storeGen.NextBatch(make([]uint64, 1))
 	}()
 
 	if prog, err := Compile(phase(0.1, nil)); err != nil || len(chaseGensOf(prog)) != 2 {

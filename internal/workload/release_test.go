@@ -51,8 +51,8 @@ func chaseGensOf(pr *Program) []*chaseGen {
 		}
 	}
 	for i := range pr.phases {
-		walk(pr.phases[i].loadGen.gen)
-		walk(pr.phases[i].storeGen.gen)
+		walk(pr.phases[i].loadGen)
+		walk(pr.phases[i].storeGen)
 	}
 	return out
 }
