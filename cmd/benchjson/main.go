@@ -12,13 +12,11 @@
 // level (SimulateSuite, SimulateWorkload) and the component level
 // (MachineStep, CacheAccess, TLBTranslate), so a regression can be
 // localized to the layer that caused it; SimulateSuiteTotalsOnly
-// measures the counters-only fast path against the full sampled run,
-// and StreamIngest measures the streaming instruction-log reader (parsed
-// records per second). FullRescore and IncrRescore are the
-// incremental-scoring A/B pair: the cost of batch-scoring a 64-workload
-// measurement from scratch versus appending one sample chunk to it and
-// rescoring through the incremental engine (the perspectord
-// streaming-score hot path).
+// measures the counters-only fast path against the full sampled run.
+// FullRescore and IncrRescore are the incremental-scoring A/B pair: the
+// cost of batch-scoring a 64-workload measurement from scratch versus
+// appending one sample chunk to it and rescoring through the incremental
+// engine (the perspectord streaming-score hot path).
 //
 // Each run also appends one line to BENCH_history.jsonl (disable with
 // -history ""): the same report plus the git commit, so the repository

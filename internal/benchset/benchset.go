@@ -1,21 +1,19 @@
 // Package benchset holds the bodies of the simulator benchmarks that
 // cmd/benchjson records into BENCH_simulator.json and
 // BENCH_history.jsonl. The `go test -bench` benchmarks of the same names
-// (in the root package, internal/uarch and internal/trace) are one-line
-// calls into this package, so each benchmark has exactly one body and a
-// `go test -bench` number and a recorded number measure the same work.
+// (in the root package and internal/uarch) are one-line calls into this
+// package, so each benchmark has exactly one body and a `go test -bench`
+// number and a recorded number measure the same work.
 //
-// A body that simulates (or parses) instructions reports how many per op
-// with b.ReportMetric(n, "instructions/op"); benchjson reads that metric
-// back from testing.BenchmarkResult.Extra to derive simulated
-// instructions per second.
+// A body that simulates instructions reports how many per op with
+// b.ReportMetric(n, "instructions/op"); benchjson reads that metric back
+// from testing.BenchmarkResult.Extra to derive simulated instructions per
+// second.
 package benchset
 
 import (
 	"context"
 	"fmt"
-	"io"
-	"strconv"
 	"testing"
 
 	perspector "perspector"
@@ -23,7 +21,6 @@ import (
 	"perspector/internal/obs"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
-	"perspector/internal/trace"
 	"perspector/internal/uarch"
 )
 
@@ -40,7 +37,6 @@ var All = []Bench{
 	{"SimulateSuite", SimulateSuite},
 	{"SimulateSuiteTotalsOnly", SimulateSuiteTotalsOnly},
 	{"SimulateWorkload", SimulateWorkload},
-	{"StreamIngest", StreamIngest},
 	{"FullRescore", FullRescore},
 	{"IncrRescore", IncrRescore},
 	{"MachineStep", MachineStep},
@@ -98,74 +94,6 @@ func simulate(b *testing.B, cfg perspector.Config, workloads int, recorder bool)
 		}
 	}
 	b.ReportMetric(float64(cfg.Instructions*uint64(len(s.Specs))), InstrMetric)
-}
-
-// StreamIngest measures the streaming trace reader: one op parses one
-// streamBlock (~1 MiB of log) through ProgramReader.NextBatch.
-// instructions/op counts parsed log records, so instr/sec is the ingest
-// ceiling for replaying instruction logs through the simulator.
-func StreamIngest(b *testing.B) {
-	block, perBlock := streamBlock()
-	pr := trace.NewProgramReader(&repeatReader{block: block, reps: b.N}, "bench")
-	batch := make([]uarch.Instr, 4096)
-	b.SetBytes(int64(len(block)))
-	b.ResetTimer()
-	total := 0
-	for {
-		n := pr.NextBatch(batch)
-		total += n
-		if n < len(batch) {
-			break
-		}
-	}
-	if err := pr.Err(); err != nil {
-		b.Fatal(err)
-	}
-	if total != perBlock*b.N {
-		b.Fatalf("parsed %d records, want %d", total, perBlock*b.N)
-	}
-	b.ReportMetric(float64(perBlock), InstrMetric)
-}
-
-// streamBlock renders ~1 MiB of instruction-log text cycling through
-// all five record kinds, and reports how many records it holds.
-func streamBlock() ([]byte, int) {
-	var buf []byte
-	records := 0
-	for i := uint64(0); len(buf) < 1<<20; i++ {
-		buf = append(buf, 'A', '\n')
-		buf = append(buf, 'L', ',')
-		buf = strconv.AppendUint(buf, i*64%(1<<22), 10)
-		buf = append(buf, '\n', 'S', ',')
-		buf = strconv.AppendUint(buf, i*128%(1<<24), 10)
-		buf = append(buf, '\n', 'B', ',')
-		buf = strconv.AppendUint(buf, 0x400000+i%64*4, 10)
-		buf = append(buf, ',', '0'+byte(i&1), '\n')
-		buf = append(buf, 'Y', ',', '0', '\n')
-		records += 5
-	}
-	return buf, records
-}
-
-// repeatReader serves block reps times: a log of any length without
-// the buffer to hold it.
-type repeatReader struct {
-	block []byte
-	off   int
-	reps  int
-}
-
-func (r *repeatReader) Read(p []byte) (int, error) {
-	if r.reps == 0 {
-		return 0, io.EOF
-	}
-	n := copy(p, r.block[r.off:])
-	r.off += n
-	if r.off == len(r.block) {
-		r.off = 0
-		r.reps--
-	}
-	return n, nil
 }
 
 // rescoreMeasurement fabricates the fixed measurement the rescore

@@ -209,16 +209,6 @@ func (d *Driver) Measure(s suites.Suite) (*perf.SuiteMeasurement, error) {
 	return d.Source(d.Flags.Config()).Measure(d.ctx, s)
 }
 
-// MeasureNamed resolves a registered suite by name and measures it.
-func (d *Driver) MeasureNamed(name string) (*perf.SuiteMeasurement, error) {
-	cfg := d.Flags.Config()
-	s, err := suites.ByName(name, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return d.Source(cfg).Measure(d.ctx, s)
-}
-
 // ResolveSuite returns the suite a command should operate on: when file
 // is non-empty the suite is loaded from a declarative spec JSON file
 // (-suite-file), otherwise name resolves against the registry (-suite).
@@ -261,21 +251,6 @@ func (d *Driver) MeasureSuites(ss []suites.Suite) ([]*perf.SuiteMeasurement, err
 		return nil, err
 	}
 	return ms, nil
-}
-
-// MeasureNames resolves stock suites by name and measures them in
-// parallel, keeping name order.
-func (d *Driver) MeasureNames(names []string) ([]*perf.SuiteMeasurement, error) {
-	cfg := d.Flags.Config()
-	ss := make([]suites.Suite, len(names))
-	for i, name := range names {
-		s, err := suites.ByName(name, cfg)
-		if err != nil {
-			return nil, err
-		}
-		ss[i] = s
-	}
-	return d.MeasureSuites(ss)
 }
 
 // MeasureSeeds measures one named suite under n consecutive seeds

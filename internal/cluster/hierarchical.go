@@ -172,6 +172,3 @@ func (dg *Dendrogram) Cut(k int) ([]int, error) {
 	}
 	return labels, nil
 }
-
-// NumPoints returns the number of original points in the dendrogram.
-func (dg *Dendrogram) NumPoints() int { return dg.n }

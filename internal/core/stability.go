@@ -24,6 +24,9 @@ type Stability struct {
 
 // RelativeStdDev returns per-score coefficient-of-variation values
 // (StdDev/|Mean|, 0 when the mean is 0), a unitless stability summary.
+// It is public API although no command calls it: the perspector package
+// re-exports Stability as the result of ScoreStability, so library users
+// reach this method on that result.
 func (s *Stability) RelativeStdDev() metric.Scores {
 	rel := func(sd, mean float64) float64 {
 		if mean == 0 {

@@ -186,7 +186,7 @@ func TestFleetScoresBitIdentical(t *testing.T) {
 		t.Skip("runs real simulations")
 	}
 	cfg := e2eConfig()
-	names := suites.StockNames()
+	names := []string{"parsec", "spec17", "ligra", "lmbench", "nbench", "sgxgauge"}
 
 	// Direct-engine reference, the same path the CLI takes.
 	ctx := context.Background()

@@ -87,14 +87,3 @@ func (l *TenantLimiter) Allow(tenant string) (bool, time.Duration) {
 	}
 	return false, wait
 }
-
-// Tenants returns how many distinct tenant buckets exist (the overflow
-// bucket excluded), for metrics exposition.
-func (l *TenantLimiter) Tenants() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.buckets)
-}

@@ -172,15 +172,6 @@ func (m *Matrix) VStack(b *Matrix) *Matrix {
 	return out
 }
 
-// SelectRows returns a new matrix with the given rows, in order.
-func (m *Matrix) SelectRows(idx []int) *Matrix {
-	out := New(len(idx), m.cols)
-	for k, i := range idx {
-		copy(out.RowView(k), m.RowView(i))
-	}
-	return out
-}
-
 // SelectCols returns a new matrix with the given columns, in order.
 func (m *Matrix) SelectCols(idx []int) *Matrix {
 	out := New(m.rows, len(idx))

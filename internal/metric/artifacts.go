@@ -238,19 +238,6 @@ func (a *Artifacts) bumpSeriesVersion(i int) {
 	a.seriesEpoch++
 }
 
-// NormSeries returns the warmup-trimmed, CDF/percentile-normalized delta
-// series of every workload for counter c (the Fig. 1 normalization that
-// TrendScore's DTW compares). The result is cached per counter; only
-// workloads whose series changed since the last call are recomputed, in
-// place, so a caller must not keep the grids across an append.
-func (a *Artifacts) NormSeries(ctx context.Context, c perf.Counter) ([][]float64, error) {
-	sc, err := a.series(ctx, c)
-	if err != nil {
-		return nil, err
-	}
-	return sc.norm, nil
-}
-
 // series brings counter c's series cache up to date and returns it.
 func (a *Artifacts) series(ctx context.Context, c perf.Counter) (*seriesCache, error) {
 	n := len(a.Meas.Workloads)

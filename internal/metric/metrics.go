@@ -13,7 +13,7 @@ import (
 )
 
 // Names of the four stock paper metrics, as registered in
-// DefaultRegistry and as accepted by Registry.Without.
+// DefaultRegistry.
 const (
 	MetricCluster  = "cluster"
 	MetricTrend    = "trend"
@@ -37,7 +37,7 @@ type Capabilities struct {
 
 // Metric is one suite-quality score over shared Artifacts.
 type Metric interface {
-	// Name keys the metric's slot in Scores and in Registry.Without.
+	// Name keys the metric's slot in Scores.
 	Name() string
 	// Requires declares the metric's input capabilities.
 	Requires() Capabilities
@@ -249,22 +249,6 @@ func DefaultRegistry() *Registry {
 // Metrics returns the registered metrics in order. The slice is shared;
 // callers must not mutate it.
 func (r *Registry) Metrics() []Metric { return r.metrics }
-
-// Without returns a registry with the named metrics removed — e.g.
-// Without(MetricTrend) scores totals-style even when series exist.
-func (r *Registry) Without(names ...string) *Registry {
-	drop := make(map[string]bool, len(names))
-	for _, n := range names {
-		drop[n] = true
-	}
-	out := &Registry{}
-	for _, m := range r.metrics {
-		if !drop[m.Name()] {
-			out.metrics = append(out.metrics, m)
-		}
-	}
-	return out
-}
 
 // needs reports whether any registered metric requires the capability
 // selected by pick.

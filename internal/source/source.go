@@ -11,7 +11,6 @@
 package source
 
 import (
-	"bufio"
 	"context"
 	"fmt"
 	"os"
@@ -22,7 +21,6 @@ import (
 	"perspector/internal/stage"
 	"perspector/internal/suites"
 	"perspector/internal/trace"
-	"perspector/internal/uarch"
 )
 
 // Source produces the measurement of a suite.
@@ -100,72 +98,6 @@ func (src TraceFile) Measure(ctx context.Context, _ suites.Suite) (*perf.SuiteMe
 // Key returns "" — a trace file is already a materialized measurement,
 // so caching it again would only duplicate bytes on disk.
 func (src TraceFile) Key(_ suites.Suite) string { return "" }
-
-// InstrLog replays a recorded instruction log (the trace package's
-// streaming line format) through the simulator. The log streams off disk
-// in bounded memory via trace.ProgramReader, so multi-GB collection
-// dumps replay without ever being materialized. The suite argument to
-// Measure is ignored — the log is the workload.
-type InstrLog struct {
-	Path string
-	// SuiteName labels the resulting single-workload measurement.
-	SuiteName string
-	// Cfg supplies the machine configuration, sample count, and
-	// totals-only switch. Cfg.Instructions is the replay budget unless
-	// MaxInstr overrides it; replay stops early if the log ends first.
-	Cfg suites.Config
-	// MaxInstr optionally overrides Cfg.Instructions as the budget.
-	MaxInstr uint64
-}
-
-// Measure streams the log through a pooled machine and returns a
-// single-workload suite measurement. A malformed record fails the
-// measurement (the simulator alone cannot distinguish "log ended" from
-// "log broke", so the reader's error is checked after the run).
-func (src InstrLog) Measure(ctx context.Context, _ suites.Suite) (*perf.SuiteMeasurement, error) {
-	fail := func(err error) (*perf.SuiteMeasurement, error) {
-		return nil, stage.Wrap(stage.Measure, src.SuiteName, src.SuiteName, err)
-	}
-	budget := src.MaxInstr
-	if budget == 0 {
-		budget = src.Cfg.Instructions
-	}
-	if err := src.Cfg.Validate(); err != nil {
-		return nil, err
-	}
-	f, err := os.Open(src.Path)
-	if err != nil {
-		return fail(err)
-	}
-	defer f.Close()
-	pr := trace.NewProgramReader(bufio.NewReaderSize(f, 1<<20), src.SuiteName)
-	mc := src.Cfg.Machine
-	mc.SampleInterval = budget / uint64(src.Cfg.Samples)
-	if mc.SampleInterval == 0 {
-		mc.SampleInterval = 1
-	}
-	mc.CountersOnly = src.Cfg.TotalsOnly
-	m, err := uarch.DefaultMachinePool.Get(mc)
-	if err != nil {
-		return fail(err)
-	}
-	defer uarch.DefaultMachinePool.Put(m)
-	meas, err := m.RunContext(ctx, pr, budget)
-	if err != nil {
-		return fail(err)
-	}
-	if err := pr.Err(); err != nil {
-		return fail(err)
-	}
-	return &perf.SuiteMeasurement{
-		Suite:     src.SuiteName,
-		Workloads: []perf.Measurement{*meas},
-	}, nil
-}
-
-// Key returns "" — a replayed log is raw input, not a reproducible
-// function of a suite definition, so it bypasses the cache.
-func (src InstrLog) Key(_ suites.Suite) string { return "" }
 
 // Caching decorates a Source with the content-addressed on-disk cache:
 // hit → decode the stored trace (bit-exact, see cache package doc);

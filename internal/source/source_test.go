@@ -12,7 +12,6 @@ import (
 	"perspector/internal/stage"
 	"perspector/internal/suites"
 	"perspector/internal/trace"
-	"perspector/internal/workload"
 )
 
 func testConfig() suites.Config {
@@ -195,73 +194,6 @@ func TestTraceFileErrors(t *testing.T) {
 	}
 	if _, err := (TraceFile{Path: "x", Format: "xml"}).Measure(context.Background(), suites.Suite{}); err == nil {
 		t.Fatal("unknown format accepted")
-	}
-}
-
-// TestInstrLogReplaysBitIdentically records a workload as an instruction
-// log and replays it through InstrLog: the replayed measurement must be
-// bit-identical to simulating the workload directly, and a corrupted log
-// must fail the measurement instead of silently truncating it.
-func TestInstrLogReplaysBitIdentically(t *testing.T) {
-	cfg := testConfig()
-	s := testSuite(t, cfg)
-	spec := s.Specs[0]
-	spec.Instructions = cfg.Instructions
-
-	direct, err := Simulator{Cfg: cfg}.Measure(context.Background(),
-		suites.Suite{Name: "replay", Specs: []workload.Spec{spec}})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prog, err := workload.Compile(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "run.log")
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := trace.WriteInstrLog(f, prog, cfg.Instructions); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	src := InstrLog{Path: path, SuiteName: "replay", Cfg: cfg}
-	got, err := src.Measure(context.Background(), suites.Suite{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src.Key(suites.Suite{}) != "" {
-		t.Fatal("instruction log claims a cache key")
-	}
-	if got.Suite != "replay" || len(got.Workloads) != 1 {
-		t.Fatalf("measurement shape: suite=%q workloads=%d", got.Suite, len(got.Workloads))
-	}
-	dw, gw := &direct.Workloads[0], &got.Workloads[0]
-	if dw.Totals != gw.Totals {
-		t.Fatal("replayed totals differ from direct simulation")
-	}
-	for c := range dw.Series.Samples {
-		if !reflect.DeepEqual(dw.Series.Samples[c], gw.Series.Samples[c]) {
-			t.Fatalf("counter %d series not bit-identical after replay", c)
-		}
-	}
-
-	// Corrupt a record mid-file: Measure must fail via the reader's Err.
-	log, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	log[len(log)/2] = 'Q'
-	bad := filepath.Join(t.TempDir(), "bad.log")
-	if err := os.WriteFile(bad, log, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := (InstrLog{Path: bad, SuiteName: "replay", Cfg: cfg}).
-		Measure(context.Background(), suites.Suite{}); err == nil {
-		t.Fatal("corrupted log measured successfully")
 	}
 }
 

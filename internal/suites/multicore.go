@@ -83,15 +83,9 @@ func runOneMulticore(ctx context.Context, spec workload.Spec, cfg Config, thread
 		compiled = append(compiled, p)
 		progs[th] = p
 	}
-	mc := cfg.Machine
 	// Sample against the aggregate instruction count so the series length
 	// stays cfg.Samples regardless of the thread count.
-	total := spec.Instructions * uint64(threads)
-	mc.SampleInterval = total / uint64(cfg.Samples)
-	if mc.SampleInterval == 0 {
-		mc.SampleInterval = 1
-	}
-	mc.CountersOnly = cfg.TotalsOnly
+	mc := cfg.machineFor(spec.Instructions * uint64(threads))
 	m := *slot
 	if m == nil || !m.Reconfigure(mc, threads) {
 		var err error

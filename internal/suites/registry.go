@@ -73,11 +73,6 @@ func loadRegistry() []registryEntry {
 	return out
 }
 
-// StockNames returns the six Table-III suite names in paper order.
-func StockNames() []string {
-	return append([]string(nil), stockNames...)
-}
-
 // Names returns every registered suite name, stock six first in paper
 // order. CLI help, server listings, and the unknown-suite error text all
 // derive from it.

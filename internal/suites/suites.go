@@ -72,6 +72,16 @@ func (c *Config) Validate() error {
 	return nil
 }
 
+// machineFor returns Machine configured for a run of the given number of
+// dynamic instructions: Samples samples over the run (one per instruction
+// when the run is shorter), and only totals kept under TotalsOnly.
+func (c *Config) machineFor(instructions uint64) uarch.MachineConfig {
+	mc := c.Machine
+	mc.SampleInterval = max(instructions/uint64(c.Samples), 1)
+	mc.CountersOnly = c.TotalsOnly
+	return mc
+}
+
 // Suite is a named set of workload specs.
 type Suite struct {
 	Name        string
@@ -163,12 +173,7 @@ func runOne(ctx context.Context, spec workload.Spec, cfg Config, slot **uarch.Ma
 		return nil, err
 	}
 	defer prog.Release()
-	mc := cfg.Machine
-	mc.SampleInterval = spec.Instructions / uint64(cfg.Samples)
-	if mc.SampleInterval == 0 {
-		mc.SampleInterval = 1
-	}
-	mc.CountersOnly = cfg.TotalsOnly
+	mc := cfg.machineFor(spec.Instructions)
 	m := *slot
 	if m == nil || !m.Reconfigure(mc) {
 		uarch.DefaultMachinePool.Put(m) // structural mismatch; Put(nil) is a no-op

@@ -68,41 +68,3 @@ func FuzzReadJSON(f *testing.F) {
 		}
 	})
 }
-
-// FuzzProgramReader decodes the same bytes as an instruction log twice,
-// through NextBatch chunks of 1 and of 4096: the scanner must not panic,
-// and both must yield the same instructions, Count and Err text.
-func FuzzProgramReader(f *testing.F) {
-	f.Add("# header\nA\nL,1234\n\nS,5678\r\nB,4194304,1\nY,0\nB,4194308,0")
-	f.Add("A\nL,99999999999999999999999\nA\n")
-	f.Add("B,123\n")
-	f.Add("Y,1\nY,2\n")
-	f.Add("")
-	f.Add("A" + strings.Repeat("A", 5000) + "\n")
-	f.Fuzz(func(t *testing.T, data string) {
-		one := NewProgramReader(strings.NewReader(data), "fuzz")
-		block := NewProgramReader(strings.NewReader(data), "fuzz")
-		a, b := readAll(one, 1), readAll(block, 4096)
-		if len(a) != len(b) {
-			t.Fatalf("chunk 1 read %d instructions, chunk 4096 read %d", len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("instruction %d: chunk 1 %+v, chunk 4096 %+v", i, a[i], b[i])
-			}
-		}
-		if one.Count() != block.Count() || one.Count() != uint64(len(a)) {
-			t.Fatalf("Count: chunk 1 %d, chunk 4096 %d, read %d", one.Count(), block.Count(), len(a))
-		}
-		if errText(one.Err()) != errText(block.Err()) {
-			t.Fatalf("Err: chunk 1 %v, chunk 4096 %v", one.Err(), block.Err())
-		}
-	})
-}
-
-func errText(err error) string {
-	if err == nil {
-		return ""
-	}
-	return err.Error()
-}

@@ -35,8 +35,8 @@ type SyscallRef struct {
 // predictor; syscalls nothing but cycle and page-fault counts — and
 // every counter is an integer sum flushed once per block. Stepping each
 // list in its own loop therefore gives the totals an instruction-order
-// loop gives. The positions let MultiCore and the Instr adapters restore
-// program order where it matters.
+// loop gives. The positions let MultiCore and Instrs restore program
+// order where it matters.
 type Block struct {
 	Mem      []MemRef
 	Branches []BranchRef
@@ -59,20 +59,6 @@ func resetList[T any](s []T, n int) []T {
 		return make([]T, 0, n)
 	}
 	return s[:0]
-}
-
-// Append adds in at position pos, which must exceed every position the
-// block already holds.
-func (b *Block) Append(pos int, in Instr) {
-	p := uint32(pos)
-	switch in.Kind {
-	case Load, Store:
-		b.Mem = append(b.Mem, MemRef{Addr: in.Addr, Pos: p, Store: in.Kind == Store})
-	case Branch:
-		b.Branches = append(b.Branches, BranchRef{PC: in.PC, Pos: p, Taken: in.Taken})
-	case Syscall:
-		b.Syscalls = append(b.Syscalls, SyscallRef{Pos: p, Fault: in.Fault})
-	}
 }
 
 // Instrs writes the block's first len(dst) instructions to dst in

@@ -283,12 +283,3 @@ func (c *Cache) Reset() {
 	c.lastLineP1 = 0
 	c.accesses, c.misses = 0, 0
 }
-
-// LineBytes returns the cache line size in bytes.
-func (c *Cache) LineBytes() int { return 1 << c.lineBits }
-
-// Sets returns the number of sets.
-func (c *Cache) Sets() int { return int(c.numSets) }
-
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }

@@ -203,3 +203,33 @@ func (m *Machine) stepInstrs(buf []Instr, pmu *perf.Values) uint64 {
 	pmu.Add(perf.BranchMisses, branchMiss)
 	return cycles
 }
+
+// CacheStats exposes per-level accesses/misses for tests and diagnostics.
+func (m *Machine) CacheStats() (l1a, l1m, l2a, l2m, l3a, l3m uint64) {
+	l1a, l1m = m.l1.Stats()
+	l2a, l2m = m.l2.Stats()
+	l3a, l3m = m.l3.Stats()
+	return
+}
+
+// TLBStats exposes TLB accesses, first-level misses and walks.
+func (m *Machine) TLBStats() (accesses, l1Misses, walks uint64) {
+	return m.tlb.Stats()
+}
+
+// BranchStats exposes branch predictions and mispredictions.
+func (m *Machine) BranchStats() (predicts, mispredicts uint64) {
+	return m.bp.Stats()
+}
+
+// Cores returns the number of cores.
+func (mc *MultiCore) Cores() int { return len(mc.cores) }
+
+// LineBytes returns the cache line size in bytes.
+func (c *Cache) LineBytes() int { return 1 << c.lineBits }
+
+// Sets returns the number of sets.
+func (c *Cache) Sets() int { return int(c.numSets) }
+
+// Ways returns the associativity.
+func (c *Cache) Ways() int { return c.ways }

@@ -524,21 +524,3 @@ func (m *Machine) stepSyscalls(refs []SyscallRef, pmu *perf.Values) uint64 {
 	pmu.Add(perf.PageFaults, faults)
 	return uint64(len(refs))*uint64(m.cfg.SyscallCycles) + faults*uint64(m.cfg.MinorFaultCycles)
 }
-
-// CacheStats exposes per-level accesses/misses for tests and diagnostics.
-func (m *Machine) CacheStats() (l1a, l1m, l2a, l2m, l3a, l3m uint64) {
-	l1a, l1m = m.l1.Stats()
-	l2a, l2m = m.l2.Stats()
-	l3a, l3m = m.l3.Stats()
-	return
-}
-
-// TLBStats exposes TLB accesses, first-level misses and walks.
-func (m *Machine) TLBStats() (accesses, l1Misses, walks uint64) {
-	return m.tlb.Stats()
-}
-
-// BranchStats exposes branch predictions and mispredictions.
-func (m *Machine) BranchStats() (predicts, mispredicts uint64) {
-	return m.bp.Stats()
-}

@@ -19,7 +19,15 @@ func (p *scriptProgram) NextBlock(b *Block, n int) int {
 	b.Reset(n)
 	k := 0
 	for ; k < n && p.pos < len(p.instrs); k++ {
-		b.Append(k, p.instrs[p.pos])
+		in, pos := p.instrs[p.pos], uint32(k)
+		switch in.Kind {
+		case Load, Store:
+			b.Mem = append(b.Mem, MemRef{Addr: in.Addr, Pos: pos, Store: in.Kind == Store})
+		case Branch:
+			b.Branches = append(b.Branches, BranchRef{PC: in.PC, Pos: pos, Taken: in.Taken})
+		case Syscall:
+			b.Syscalls = append(b.Syscalls, SyscallRef{Pos: pos, Fault: in.Fault})
+		}
 		p.pos++
 	}
 	return k

@@ -45,9 +45,6 @@ func NewMultiCore(cfg MachineConfig, n int) (*MultiCore, error) {
 	return mc, nil
 }
 
-// Cores returns the number of cores.
-func (mc *MultiCore) Cores() int { return len(mc.cores) }
-
 // Reset restores power-on state on every core and the shared L3.
 func (mc *MultiCore) Reset() {
 	for _, c := range mc.cores {
