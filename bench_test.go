@@ -19,7 +19,7 @@ import (
 	"perspector"
 	"perspector/internal/benchset"
 	"perspector/internal/cluster"
-	"perspector/internal/dtw"
+	"perspector/internal/figdata"
 	"perspector/internal/lhs"
 	"perspector/internal/mat"
 	"perspector/internal/metric"
@@ -116,26 +116,13 @@ func BenchmarkFig3cTLBOnly(b *testing.B) { benchFig3(b, "tlb") }
 
 // BenchmarkFig1TrendNormalization regenerates Fig. 1: the two-axis
 // normalization of the LLC-load-miss series of the five SGXGauge
-// workloads the paper plots.
+// workloads the paper plots, with cmd/figures' grid and warmup drop.
 func BenchmarkFig1TrendNormalization(b *testing.B) {
 	sgx := suiteMeas(b, "sgxgauge")
-	want := map[string]bool{
-		"sgxgauge.pagerank": true, "sgxgauge.hashjoin": true,
-		"sgxgauge.bfs": true, "sgxgauge.btree": true, "sgxgauge.openssl": true,
-	}
-	var series [][]float64
-	for _, w := range sgx.Workloads {
-		if want[w.Workload] {
-			series = append(series, w.Series.Series(perf.LLCLoadMisses))
-		}
-	}
-	if len(series) != 5 {
-		b.Fatalf("found %d of the 5 Fig. 1 workloads", len(series))
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, s := range series {
-			dtw.NormalizeSeries(s, 100)
+		if _, err := figdata.Fig1(sgx, 10, 0.1); err != nil {
+			b.Fatal(err)
 		}
 	}
 }
@@ -144,44 +131,16 @@ func BenchmarkFig1TrendNormalization(b *testing.B) {
 // demonstration: an outlier-inflated point set scores high coverage but
 // poor spread; a uniform set scores well on both.
 func BenchmarkFig2CoverageVsSpread(b *testing.B) {
-	src := rng.New(2023)
-	const dims = 8
-	wa := mat.New(16, dims)
-	for i := 0; i < 14; i++ {
-		for j := 0; j < dims; j++ {
-			wa.Set(i, j, 0.45+0.1*src.Float64())
-		}
-	}
-	for j := 0; j < dims; j++ {
-		wa.Set(14, j, 0) // two corner outliers inflate the variance
-		wa.Set(15, j, 1)
-	}
-	wb := mat.New(16, dims)
-	for i := 0; i < 16; i++ {
-		for j := 0; j < dims; j++ {
-			wb.Set(i, j, src.Float64())
-		}
-	}
 	opts := perspector.DefaultOptions()
-	var spA, spB float64
-	b.ResetTimer()
+	var res *figdata.Fig2Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		if _, err = metric.CoverageScore(wa, opts); err != nil {
-			b.Fatal(err)
-		}
-		if _, err = metric.CoverageScore(wb, opts); err != nil {
-			b.Fatal(err)
-		}
-		if spA, err = metric.SpreadScore(wa, opts); err != nil {
-			b.Fatal(err)
-		}
-		if spB, err = metric.SpreadScore(wb, opts); err != nil {
+		if res, err = figdata.Fig2(benchConfig().Seed, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	b.ReportMetric(spA/spB, "spread-ratio-WA/WB")
+	b.ReportMetric(res.SpreadA/res.SpreadB, "spread-ratio-WA/WB")
 }
 
 // BenchmarkFig4Clustering regenerates Fig. 4: 2-D PCA projection and
@@ -189,17 +148,9 @@ func BenchmarkFig2CoverageVsSpread(b *testing.B) {
 func BenchmarkFig4Clustering(b *testing.B) {
 	for _, name := range []string{"nbench", "sgxgauge"} {
 		m := suiteMeas(b, name)
-		x := mat.FromRows(m.Matrix(perf.AllCounters()))
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				normed, err := metric.JointNormalize([]*mat.Matrix{x})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := pca.Fit(normed[0], 1.0); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := cluster.KMeans(normed[0], 2, cluster.DefaultKMeansOptions(1)); err != nil {
+				if _, err := figdata.Fig4(m, 1); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -236,23 +187,9 @@ func BenchmarkFig5LLCMissTrends(b *testing.B) {
 func BenchmarkFig6PCACoverage(b *testing.B) {
 	lm := suiteMeas(b, "lmbench")
 	sp := suiteMeas(b, "spec17")
-	xl := mat.FromRows(lm.Matrix(perf.AllCounters()))
-	xs := mat.FromRows(sp.Matrix(perf.AllCounters()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		normed, err := metric.JointNormalize([]*mat.Matrix{xl, xs})
-		if err != nil {
-			b.Fatal(err)
-		}
-		union := normed[0].VStack(normed[1])
-		res, err := pca.Fit(union, 1.0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := res.Project(normed[0]); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := res.Project(normed[1]); err != nil {
+		if _, err := figdata.Fig6(lm, sp); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -279,7 +216,7 @@ func BenchmarkSubsetGeneration(b *testing.B) {
 
 // The simulator and incremental-scoring benchmarks below share their
 // bodies with cmd/benchjson through internal/benchset, so a `go test
-// -bench` number and a BENCH_simulator.json number measure the same work.
+// -bench` number and a BENCH_history.jsonl number measure the same work.
 
 // BenchmarkSimulateSuite measures raw simulator throughput: executing the
 // Nbench suite end to end (the substrate cost behind every figure).

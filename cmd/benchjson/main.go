@@ -1,16 +1,18 @@
 // Command benchjson runs the simulator benchmark set under the testing
-// package's benchmark driver and writes the results as machine-readable
-// JSON. The committed BENCH_simulator.json at the repository root is the
-// instructions/sec trajectory of the hot-loop work: regenerate it on the
-// same class of machine with
+// package's benchmark driver and appends the results, with the git
+// commit, platform and timestamp, as one JSON line to
+// BENCH_history.jsonl (change the path with -history, disable with
+// -history ""). That log is the repository's only committed benchmark
+// record: compare simulated_instr_per_sec across commits of the same
+// machine class, or serve the trends with perspectord's /perf. Record a
+// run with
 //
-//	go run ./cmd/benchjson -out BENCH_simulator.json
+//	go run ./cmd/benchjson -note "my change"
 //
-// and compare simulated_instr_per_sec across commits. The benchmark
-// bodies live in internal/benchset, which the `go test -bench` wrappers
-// of the same names call too. They span the suite and per-workload
-// level (SimulateSuite, SimulateWorkload) and the component level
-// (MachineStep, CacheAccess, TLBTranslate), so a regression can be
+// The benchmark bodies live in internal/benchset, which the `go test
+// -bench` wrappers of the same names call too. They span the suite and
+// per-workload level (SimulateSuite, SimulateWorkload) and the component
+// level (MachineStep, CacheAccess, TLBTranslate), so a regression can be
 // localized to the layer that caused it; SimulateSuiteTotalsOnly
 // measures the counters-only fast path against the full sampled run.
 // FullRescore and IncrRescore are the incremental-scoring A/B pair: the
@@ -18,26 +20,15 @@
 // appending one sample chunk to it and rescoring through the incremental
 // engine (the perspectord streaming-score hot path).
 //
-// Each run also appends one line to BENCH_history.jsonl (disable with
-// -history ""): the same report plus the git commit, so the repository
-// accumulates an instr/sec trajectory across commits instead of only
-// the latest snapshot.
-//
-// With -check <snapshot>, the run compares its own suite-level
-// simulated_instr_per_sec against the snapshot's and exits non-zero on a
-// regression beyond -check-tolerance. When any gate runs, the suite
-// benchmark keeps the best of gateRounds runs: scheduling noise on
-// shared runners only ever slows a run down, so the fastest observation
-// is the least contaminated one.
-//
-// With -check-history <jsonl>, the run is additionally gated against the
-// accumulated history distribution: each instr/sec-bearing benchmark
-// must not fall below the p10 floor (with 5% slack) of the last 10 runs
-// recorded on the same machine class (goos/goarch) —
-// perfhist.DefaultGateOptions. Unlike the fixed-tolerance snapshot
-// check, this floor tracks what the machine class actually sustains, and
-// it refuses to judge (inconclusive pass) when the history holds fewer
-// than 3 same-class runs.
+// With -check-history <jsonl>, the run is gated against the accumulated
+// history distribution: each instr/sec-bearing benchmark must not fall
+// below the p10 floor (with 5% slack) of the last 10 runs recorded on
+// the same machine class (goos/goarch) — perfhist.DefaultGateOptions.
+// The gate refuses to judge (inconclusive pass) when the history holds
+// fewer than 3 same-class runs. Under the gate the suite benchmark keeps
+// the best of gateRounds runs: scheduling noise on shared runners only
+// ever slows a run down, so the fastest observation is the least
+// contaminated one.
 //
 // The compare subcommand is the paired same-moment A/B primitive the CI
 // regression gate runs:
@@ -99,8 +90,8 @@ func fatal(err error) {
 	os.Exit(1)
 }
 
-// gateRounds is how many times the suite benchmark runs when a gate
-// judges the record; the best round is kept.
+// gateRounds is how many times the suite benchmark runs when
+// -check-history judges the record; the best round is kept.
 const gateRounds = 3
 
 func lookupBench(name string) (benchset.Bench, bool) {
@@ -129,16 +120,13 @@ func main() {
 	runRecord(os.Args[1:])
 }
 
-// runRecord is the default mode: run every registered benchmark, write
-// the snapshot, append to the history, and apply the requested gates.
+// runRecord is the default mode: run every registered benchmark, gate
+// the run against the history if asked, and append it to the history.
 func runRecord(args []string) {
 	fs := flag.NewFlagSet("benchjson", flag.ExitOnError)
-	out := fs.String("out", "BENCH_simulator.json", "output path for the latest snapshot")
 	history := fs.String("history", "BENCH_history.jsonl", "append the run to this JSONL history (empty disables)")
 	benchtime := fs.Duration("benchtime", time.Second, "minimum run time per benchmark")
 	note := fs.String("note", "", "free-form origin tag recorded with the run (e.g. ci)")
-	check := fs.String("check", "", "compare suite-level instr/sec against this committed snapshot and fail on regression")
-	checkTolerance := fs.Float64("check-tolerance", 0.10, "relative regression allowed by -check")
 	checkHistory := fs.String("check-history", "", "gate instr/sec-bearing benchmarks against this history's distribution")
 	fs.Parse(args)
 	// The driver reads the package-level benchtime; there is no public
@@ -147,7 +135,7 @@ func runRecord(args []string) {
 		fatal(err)
 	}
 	rounds := 1
-	if *check != "" || *checkHistory != "" {
+	if *checkHistory != "" {
 		rounds = gateRounds
 	}
 
@@ -193,14 +181,6 @@ func runRecord(args []string) {
 		fmt.Println()
 	}
 
-	buf, err := json.MarshalIndent(rep, "", "  ")
-	if err != nil {
-		fatal(err)
-	}
-	buf = append(buf, '\n')
-	if err := os.WriteFile(*out, buf, 0o644); err != nil {
-		fatal(err)
-	}
 	// Gate against the history distribution as it stood BEFORE this run
 	// is appended, so a run is never its own reference.
 	var gateErr error
@@ -208,17 +188,12 @@ func runRecord(args []string) {
 		gateErr = checkAgainstHistory(*checkHistory, rep)
 	}
 	if *history != "" {
-		if err := appendHistory(*history, rep); err != nil {
+		if err := perfhist.Append(*history, rep); err != nil {
 			fatal(err)
 		}
 	}
 	if gateErr != nil {
 		fatal(gateErr)
-	}
-	if *check != "" {
-		if err := checkRegression(*check, rep, *checkTolerance); err != nil {
-			fatal(err)
-		}
 	}
 }
 
@@ -320,59 +295,4 @@ func checkAgainstHistory(path string, rep report) error {
 
 func nsPerOp(r testing.BenchmarkResult) float64 {
 	return float64(r.T.Nanoseconds()) / float64(r.N)
-}
-
-// appendHistory adds the run as one JSON line to the history file.
-func appendHistory(path string, rep report) error {
-	line, err := json.Marshal(rep)
-	if err != nil {
-		return err
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	_, werr := f.Write(append(line, '\n'))
-	if cerr := f.Close(); werr == nil {
-		werr = cerr
-	}
-	return werr
-}
-
-// suiteLevel extracts the SimulateSuite throughput of a report.
-func suiteLevel(rep report) (float64, error) {
-	b, ok := rep.Bench("SimulateSuite")
-	if !ok {
-		return 0, fmt.Errorf("no SimulateSuite entry")
-	}
-	return b.SimulatedInstrPerSec, nil
-}
-
-// checkRegression compares the run's suite-level throughput against the
-// committed snapshot at path.
-func checkRegression(path string, rep report, tolerance float64) error {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	var committed report
-	if err := json.Unmarshal(buf, &committed); err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	want, err := suiteLevel(committed)
-	if err != nil {
-		return fmt.Errorf("%s: %w", path, err)
-	}
-	got, err := suiteLevel(rep)
-	if err != nil {
-		return err
-	}
-	floor := want * (1 - tolerance)
-	if got < floor {
-		return fmt.Errorf("suite-level regression: %.3g simulated instr/sec < %.3g (committed %.3g − %.0f%%)",
-			got, floor, want, 100*tolerance)
-	}
-	fmt.Printf("check: %.3g simulated instr/sec ≥ %.3g (committed %.3g − %.0f%%)\n",
-		got, floor, want, 100*tolerance)
-	return nil
 }

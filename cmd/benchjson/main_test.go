@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -30,44 +31,12 @@ func record(instrPerSec float64) report {
 	}
 }
 
-func writeJSON(t *testing.T, v any) string {
-	t.Helper()
-	buf, err := json.Marshal(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "snapshot.json")
-	if err := os.WriteFile(path, buf, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-func TestCheckRegressionTolerance(t *testing.T) {
-	snapshot := writeJSON(t, record(1000))
-	if err := checkRegression(snapshot, record(501), 0.5); err != nil {
-		t.Errorf("501 against a floor of 500 failed: %v", err)
-	}
-	if err := checkRegression(snapshot, record(499), 0.5); err == nil {
-		t.Error("499 against a floor of 500 passed")
-	}
-
-	noSuite := record(1000)
-	noSuite.Benchmarks[0].Name = "SimulateWorkload"
-	if err := checkRegression(snapshot, noSuite, 0.5); err == nil {
-		t.Error("run without a SimulateSuite entry passed")
-	}
-	if err := checkRegression(writeJSON(t, noSuite), record(1000), 0.5); err == nil {
-		t.Error("snapshot without a SimulateSuite entry passed")
-	}
-}
-
 // writeHistory appends one run per figure to a fresh JSONL history.
 func writeHistory(t *testing.T, instrPerSec ...float64) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "history.jsonl")
 	for _, v := range instrPerSec {
-		if err := appendHistory(path, record(v)); err != nil {
+		if err := perfhist.Append(path, record(v)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -113,31 +82,33 @@ func TestAppendHistoryDecodes(t *testing.T) {
 	}
 }
 
-// committed reads the repository's BENCH_simulator.json.
-func committed(t *testing.T) report {
+// committed reads the repository's BENCH_history.jsonl, oldest record
+// first.
+func committed(t *testing.T) []report {
 	t.Helper()
-	buf, err := os.ReadFile("../../BENCH_simulator.json")
+	h, err := perfhist.Load(context.Background(), "../../BENCH_history.jsonl")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rep report
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatal(err)
+	if len(h.Records) == 0 {
+		t.Fatal("BENCH_history.jsonl holds no records")
 	}
-	return rep
+	return h.Records
 }
 
 // TestBenchNamesAreStable pins the recorded set to the committed
-// snapshot's names and order, and to perfbench's alias table: renaming a
-// benchmark would orphan its history trend line.
+// history's names and to perfbench's alias table: renaming a benchmark
+// would orphan its history trend line.
 func TestBenchNamesAreStable(t *testing.T) {
-	rep := committed(t)
-	if len(rep.Benchmarks) != len(benchset.All) {
-		t.Fatalf("benchset has %d benchmarks, BENCH_simulator.json %d", len(benchset.All), len(rep.Benchmarks))
+	recorded := make(map[string]bool)
+	for _, rec := range committed(t) {
+		for _, b := range rec.Benchmarks {
+			recorded[b.Name] = true
+		}
 	}
-	for i, b := range benchset.All {
-		if b.Name != rep.Benchmarks[i].Name {
-			t.Errorf("benchmark %d is %q, BENCH_simulator.json has %q", i, b.Name, rep.Benchmarks[i].Name)
+	for _, b := range benchset.All {
+		if !recorded[b.Name] {
+			t.Errorf("%s appears in no BENCH_history.jsonl record", b.Name)
 		}
 	}
 
@@ -159,8 +130,9 @@ func TestBenchNamesAreStable(t *testing.T) {
 }
 
 // TestBodiesReportCommittedInstrPerOp runs each body for one iteration
-// and checks the instructions/op it reports against the committed
-// simulated_instr_per_op (0 where the snapshot records none).
+// and checks the instructions/op it reports against the
+// simulated_instr_per_op of the newest committed history record that
+// names it (0 where that record has none).
 func TestBodiesReportCommittedInstrPerOp(t *testing.T) {
 	bt := flag.Lookup("test.benchtime")
 	prev := bt.Value.String()
@@ -174,8 +146,10 @@ func TestBodiesReportCommittedInstrPerOp(t *testing.T) {
 		"FullRescore": true, "IncrRescore": true,
 	}
 	want := make(map[string]uint64)
-	for _, b := range committed(t).Benchmarks {
-		want[b.Name] = b.SimulatedInstrPerOp
+	for _, rec := range committed(t) {
+		for _, b := range rec.Benchmarks {
+			want[b.Name] = b.SimulatedInstrPerOp // later records overwrite
+		}
 	}
 	for _, b := range benchset.All {
 		t.Run(b.Name, func(t *testing.T) {
@@ -187,7 +161,7 @@ func TestBodiesReportCommittedInstrPerOp(t *testing.T) {
 				t.Fatal("benchmark did not run")
 			}
 			if got := uint64(r.Extra[benchset.InstrMetric]); got != want[b.Name] {
-				t.Errorf("reports %d instructions/op, BENCH_simulator.json has %d", got, want[b.Name])
+				t.Errorf("reports %d instructions/op, BENCH_history.jsonl has %d", got, want[b.Name])
 			}
 		})
 	}

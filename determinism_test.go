@@ -7,11 +7,13 @@ package perspector_test
 // suites.
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
 	"perspector"
 	"perspector/internal/cache"
+	"perspector/internal/source"
 )
 
 // determinismConfig is a reduced-budget configuration: large enough that
@@ -82,11 +84,12 @@ func TestScoreDeterminismColdVsWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := perspector.DefaultOptions()
+	src := source.Caching{Inner: source.Simulator{Cfg: cfg}, Store: st}
 
 	run := func() []perspector.Scores {
 		var ms []*perspector.Measurement
 		for _, s := range perspector.StockSuites(cfg) {
-			m, err := st.Measure(s, cfg)
+			m, err := src.Measure(context.Background(), s)
 			if err != nil {
 				t.Fatal(err)
 			}

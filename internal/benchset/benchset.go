@@ -1,9 +1,9 @@
 // Package benchset holds the bodies of the simulator benchmarks that
-// cmd/benchjson records into BENCH_simulator.json and
-// BENCH_history.jsonl. The `go test -bench` benchmarks of the same names
-// (in the root package and internal/uarch) are one-line calls into this
-// package, so each benchmark has exactly one body and a `go test -bench`
-// number and a recorded number measure the same work.
+// cmd/benchjson records into BENCH_history.jsonl. The `go test -bench`
+// benchmarks of the same names (in the root package and internal/uarch)
+// are one-line calls into this package, so each benchmark has exactly
+// one body and a `go test -bench` number and a recorded number measure
+// the same work.
 //
 // A body that simulates instructions reports how many per op with
 // b.ReportMetric(n, "instructions/op"); benchjson reads that metric back
@@ -30,9 +30,9 @@ type Bench struct {
 	Run  func(*testing.B)
 }
 
-// All is the set cmd/benchjson records, in the order of
-// BENCH_simulator.json. The names key the history's trend lines and
-// perfbench/legacy_names.json, so they never change.
+// All is the set cmd/benchjson records, in record order. The names key
+// the history's trend lines and perfbench/legacy_names.json, so they
+// never change.
 var All = []Bench{
 	{"SimulateSuite", SimulateSuite},
 	{"SimulateSuiteTotalsOnly", SimulateSuiteTotalsOnly},

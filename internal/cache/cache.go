@@ -204,28 +204,6 @@ func (st *Store) Put(key string, m *perf.SuiteMeasurement) error {
 	return nil
 }
 
-// Measure returns the measurement of suite s under cfg, from cache when
-// warm, else by simulating via suites.Run and filling the cache. On a
-// nil Store it degenerates to suites.Run.
-func (st *Store) Measure(s suites.Suite, cfg suites.Config) (*perf.SuiteMeasurement, error) {
-	if st == nil {
-		return suites.Run(s, cfg)
-	}
-	key := Key(s, cfg)
-	if m, ok := st.Get(key); ok {
-		return m, nil
-	}
-	m, err := suites.Run(s, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Put(key, m); err != nil {
-		// A full disk must not fail the measurement itself.
-		return m, nil
-	}
-	return m, nil
-}
-
 // Hits returns the number of cache hits since Open.
 func (st *Store) Hits() int64 {
 	if st == nil {

@@ -109,16 +109,23 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cold, err := st.Measure(s, cfg)
+	key := Key(s, cfg)
+	if _, ok := st.Get(key); ok {
+		t.Fatal("empty store hit")
+	}
+	cold, err := suites.Run(s, cfg)
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, cold); err != nil {
 		t.Fatal(err)
 	}
 	if st.Hits() != 0 || st.Misses() != 1 {
 		t.Fatalf("cold run: hits=%d misses=%d", st.Hits(), st.Misses())
 	}
-	warm, err := st.Measure(s, cfg)
-	if err != nil {
-		t.Fatal(err)
+	warm, ok := st.Get(key)
+	if !ok {
+		t.Fatal("stored entry missed")
 	}
 	if st.Hits() != 1 {
 		t.Fatalf("warm run did not hit: hits=%d misses=%d", st.Hits(), st.Misses())
@@ -253,8 +260,12 @@ func TestCorruptEntryHealsAsMiss(t *testing.T) {
 			t.Fatalf("%s: corrupt entry not removed", name)
 		}
 	}
-	// The slot heals: a Measure fills it and the next Get hits.
-	if _, err := st.Measure(s, cfg); err != nil {
+	// The slot heals: a fresh Put fills it and the next Get hits.
+	m, err := suites.Run(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put(key, m); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := st.Get(key); !ok {
@@ -422,18 +433,10 @@ func TestPutIsAtomicUnderConcurrentReaders(t *testing.T) {
 
 func TestNilStorePassThrough(t *testing.T) {
 	var st *Store
-	cfg := smallConfig()
-	m, err := st.Measure(suite(t, "nbench", cfg), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m == nil || len(m.Workloads) == 0 {
-		t.Fatal("nil store did not measure")
-	}
 	if _, ok := st.Get("abc"); ok {
 		t.Fatal("nil store hit")
 	}
-	if err := st.Put("abc", m); err != nil {
+	if err := st.Put("abc", tinyMeasurement()); err != nil {
 		t.Fatal(err)
 	}
 	if st.Stats() != "cache disabled" {

@@ -139,11 +139,7 @@ func ProfilePhases(sm *perf.SuiteMeasurement, opts metric.Options, window int, t
 				return nil, fmt.Errorf("core: ProfilePhases: workload %q has no samples for %v",
 					sm.Workloads[i].Workload, c)
 			}
-			drop := int(opts.WarmupFrac * float64(len(series)))
-			if drop >= len(series) {
-				drop = len(series) - 1
-			}
-			changes, err := DetectPhases(series[drop:], window, threshold)
+			changes, err := DetectPhases(metric.TrimWarmup(series, opts.WarmupFrac), window, threshold)
 			if err != nil {
 				return nil, err
 			}

@@ -63,16 +63,12 @@ func Fig1(sgx *perf.SuiteMeasurement, grid int, warmupFrac float64) ([]Fig1Serie
 				hi = v
 			}
 		}
-		drop := int(warmupFrac * float64(len(raw)))
-		if drop >= len(raw) {
-			drop = len(raw) - 1
-		}
 		out = append(out, Fig1Series{
 			Workload:   m.Workload,
 			RawMin:     lo,
 			RawMax:     hi,
 			RawLen:     len(raw),
-			Normalized: dtw.NormalizeSeries(raw[drop:], grid),
+			Normalized: dtw.NormalizeSeries(metric.TrimWarmup(raw, warmupFrac), grid),
 		})
 	}
 	if len(out) != len(Fig1Workloads) {
@@ -184,13 +180,9 @@ func Fig5(sm *perf.SuiteMeasurement, n, grid int, warmupFrac float64) ([]Fig5Ser
 		if len(raw) == 0 {
 			return nil, fmt.Errorf("figdata: Fig5 workload %q has no samples", sm.Workloads[i].Workload)
 		}
-		drop := int(warmupFrac * float64(len(raw)))
-		if drop >= len(raw) {
-			drop = len(raw) - 1
-		}
 		out[i] = Fig5Series{
 			Workload: sm.Workloads[i].Workload,
-			Curve:    dtw.NormalizeSeries(raw[drop:], grid),
+			Curve:    dtw.NormalizeSeries(metric.TrimWarmup(raw, warmupFrac), grid),
 		}
 	}
 	return out, nil

@@ -249,7 +249,7 @@ type Queue struct {
 	// simulated-instruction throughput, folded at each terminal transition
 	// of a job that simulated anything (guarded by mu). It answers "how
 	// fast is the simulator under this service's real mix" — the serving
-	// analogue of BENCH_simulator.json's instr/sec trajectory.
+	// analogue of BENCH_history.jsonl's instr/sec trajectory.
 	instrPerSec float64
 	haveInstrPS bool
 	// execJobs/execSeconds count jobs that actually executed (not

@@ -67,7 +67,7 @@ func runSimulated(ctx context.Context, h *Handle, req Request, opts metric.Optio
 	// are accounted only when the simulator actually runs — a cache hit
 	// retires nothing.
 	src := source.Caching{
-		Inner: countingSource{inner: source.Simulator{Cfg: cfg}, h: h, perWorkload: cfg.Instructions},
+		Inner: countingSource{inner: source.Simulator{Cfg: cfg}, h: h},
 		Store: cacheStore,
 	}
 	h.SetStage("measure", len(ss))
@@ -94,19 +94,23 @@ func runSimulated(ctx context.Context, h *Handle, req Request, opts metric.Optio
 	return store.New(req.Kind, req.Group, "simulator", &rc, scores), nil
 }
 
-// countingSource accounts simulated instructions as they retire. It
-// forwards Key, so the cache decorator around it still content-addresses
-// entries identically to a bare Simulator.
+// countingSource accounts simulated instructions as they retire: each
+// workload's own budget, which a suite spec may pin apart from the
+// config's. It forwards Key, so the cache decorator around it still
+// content-addresses entries identically to a bare Simulator.
 type countingSource struct {
-	inner       source.Source
-	h           *Handle
-	perWorkload uint64
+	inner source.Source
+	h     *Handle
 }
 
 func (c countingSource) Measure(ctx context.Context, s suites.Suite) (*perf.SuiteMeasurement, error) {
 	m, err := c.inner.Measure(ctx, s)
 	if err == nil {
-		c.h.AddInstructions(c.perWorkload * uint64(len(m.Workloads)))
+		var n uint64
+		for _, spec := range s.Specs {
+			n += spec.Instructions
+		}
+		c.h.AddInstructions(n)
 	}
 	return m, err
 }

@@ -143,3 +143,30 @@ func TestInlineSpecRuns(t *testing.T) {
 	}
 	waitState(t, q, snap.ID, StateDone)
 }
+
+// TestPinnedBudgetsCountInstructions runs an inline spec whose workloads
+// pin their own budgets through the production runner: the job and the
+// queue must account the pinned budgets, not the config's per-workload
+// default.
+func TestPinnedBudgetsCountInstructions(t *testing.T) {
+	workload := func(name string, instr int) string {
+		return fmt.Sprintf(`{"name": %q, "instructions": %d, "phases": [{"name": "scan", "weight": 1,
+  "load_frac": 0.4, "load_pattern": {"kind": "sequential", "working_set": 65536, "stride": 64}}]}`, name, instr)
+	}
+	spec := json.RawMessage(`{"version": 1, "name": "pinned", "workloads": [` +
+		workload("pinned.a", 5000) + `, ` + workload("pinned.b", 7000) + `]}`)
+	q := New(EngineRunner(nil), Options{Workers: 1})
+	defer q.Drain(context.Background())
+
+	snap, _, err := q.Submit(specReq(store.KindScore, spec))
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap = waitState(t, q, snap.ID, StateDone)
+	if snap.Instructions != 12000 {
+		t.Errorf("job accounted %d instructions, want 12000 (5000 + 7000 pinned)", snap.Instructions)
+	}
+	if got := q.InstructionsRetired(); got != 12000 {
+		t.Errorf("queue retired %d instructions, want 12000", got)
+	}
+}

@@ -99,14 +99,6 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
-// SetRow copies v into row i.
-func (m *Matrix) SetRow(i int, v []float64) {
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow with %d values, want %d", len(v), m.cols))
-	}
-	copy(m.RowView(i), v)
-}
-
 // Clone returns a deep copy.
 func (m *Matrix) Clone() *Matrix {
 	c := New(m.rows, m.cols)
@@ -143,19 +135,6 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 				outRow[j] += mik * bkj
 			}
 		}
-	}
-	return out
-}
-
-// HStack returns the horizontal concatenation [m | b]. Row counts must match.
-func (m *Matrix) HStack(b *Matrix) *Matrix {
-	if m.rows != b.rows {
-		panic(fmt.Sprintf("mat: HStack row mismatch %d vs %d", m.rows, b.rows))
-	}
-	out := New(m.rows, m.cols+b.cols)
-	for i := 0; i < m.rows; i++ {
-		copy(out.data[i*out.cols:], m.data[i*m.cols:(i+1)*m.cols])
-		copy(out.data[i*out.cols+m.cols:], b.data[i*b.cols:(i+1)*b.cols])
 	}
 	return out
 }
@@ -278,16 +257,4 @@ func Dist(a, b []float64) float64 {
 		sum += d * d
 	}
 	return math.Sqrt(sum)
-}
-
-// Dot returns the inner product of two equal-length vectors.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("mat: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	sum := 0.0
-	for i := range a {
-		sum += a[i] * b[i]
-	}
-	return sum
 }

@@ -90,14 +90,6 @@ func TestRowViewAliases(t *testing.T) {
 	}
 }
 
-func TestSetRow(t *testing.T) {
-	m := New(2, 3)
-	m.SetRow(1, []float64{7, 8, 9})
-	if m.At(1, 0) != 7 || m.At(1, 2) != 9 {
-		t.Fatalf("SetRow row = %v", m.Row(1))
-	}
-}
-
 func TestTranspose(t *testing.T) {
 	m := FromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
 	tr := m.T()
@@ -146,10 +138,6 @@ func TestMulShapeMismatchPanics(t *testing.T) {
 func TestHStackVStack(t *testing.T) {
 	a := FromRows([][]float64{{1}, {2}})
 	b := FromRows([][]float64{{3}, {4}})
-	h := a.HStack(b)
-	if h.Rows() != 2 || h.Cols() != 2 || h.At(0, 1) != 3 || h.At(1, 0) != 2 {
-		t.Fatalf("HStack = \n%v", h)
-	}
 	v := a.VStack(b)
 	if v.Rows() != 4 || v.Cols() != 1 || v.At(2, 0) != 3 {
 		t.Fatalf("VStack = \n%v", v)
@@ -217,9 +205,6 @@ func TestCovarianceSingleRow(t *testing.T) {
 func TestDistDot(t *testing.T) {
 	if d := Dist([]float64{0, 0}, []float64{3, 4}); math.Abs(d-5) > 1e-12 {
 		t.Fatalf("Dist = %v, want 5", d)
-	}
-	if d := Dot([]float64{1, 2, 3}, []float64{4, 5, 6}); d != 32 {
-		t.Fatalf("Dot = %v, want 32", d)
 	}
 }
 

@@ -277,16 +277,13 @@ func (a *Artifacts) series(ctx context.Context, c perf.Counter) (*seriesCache, e
 			return fmt.Errorf("metric: TrendScore: workload %q has no samples for %v",
 				a.Meas.Workloads[i].Workload, c)
 		}
-		drop := int(a.Opts.WarmupFrac * float64(len(s)))
-		if drop >= len(s) {
-			drop = len(s) - 1
-		}
+		s = TrimWarmup(s, a.Opts.WarmupFrac)
 		if a.Opts.TrendValueCDF {
-			sc.norm[i] = dtw.NormalizeSeriesValueCDF(s[drop:], a.Opts.DTWGrid)
+			sc.norm[i] = dtw.NormalizeSeriesValueCDF(s, a.Opts.DTWGrid)
 		} else {
 			// A recomputed slot rewrites its own grid: a stream chunk
 			// recomputes every counter of the workload it changed.
-			sc.norm[i] = a.worker(w).dz.NormalizeSeriesInto(sc.norm[i], s[drop:], a.Opts.DTWGrid)
+			sc.norm[i] = a.worker(w).dz.NormalizeSeriesInto(sc.norm[i], s, a.Opts.DTWGrid)
 		}
 		sc.in[i].Set(sc.norm[i])
 		return nil

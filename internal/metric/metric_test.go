@@ -141,3 +141,24 @@ func TestTotalsOnlyRegistryWithTrendAlone(t *testing.T) {
 		t.Fatalf("got %+v, want zero scores", got)
 	}
 }
+
+func TestTrimWarmup(t *testing.T) {
+	s := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
+	for _, c := range []struct {
+		s    []float64
+		frac float64
+		want int // samples kept
+	}{
+		{s, 0, 10},
+		{s, 0.1, 9},
+		{s, 0.25, 8}, // int(2.5) drops 2
+		{s, 0.9, 1},
+		{s, 1, 1}, // the last sample always stays
+		{s[:1], 0.9, 1},
+	} {
+		got := TrimWarmup(c.s, c.frac)
+		if len(got) != c.want || got[len(got)-1] != c.s[len(c.s)-1] {
+			t.Errorf("TrimWarmup(%d samples, %g) kept %v, want the last %d", len(c.s), c.frac, got, c.want)
+		}
+	}
+}

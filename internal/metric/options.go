@@ -92,6 +92,16 @@ func (o *Options) Validate() error {
 	return nil
 }
 
+// TrimWarmup drops the leading frac of the non-empty series s — the
+// WarmupFrac rule — keeping at least its last sample.
+func TrimWarmup(s []float64, frac float64) []float64 {
+	drop := int(frac * float64(len(s)))
+	if drop >= len(s) {
+		drop = len(s) - 1
+	}
+	return s[drop:]
+}
+
 // Scores holds the four Perspector metrics for one suite.
 // Lower is better for Cluster and Spread; higher is better for Trend and
 // Coverage (§IV-A). The struct is comparable on purpose: equivalence

@@ -176,6 +176,41 @@ func Load(ctx context.Context, path string) (*History, error) {
 	return h, nil
 }
 
+// Append adds rec as one JSON line to the history file at path,
+// creating the file if needed. A crash mid-append leaves the file
+// without a trailing '\n'; Append seals that torn tail first (as
+// store.Open does), so the new record starts on a line of its own
+// instead of merging into the partial one.
+func Append(path string, rec Record) error {
+	line, err := json.Marshal(rec)
+	if err != nil {
+		return fmt.Errorf("perfhist: %w", err)
+	}
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR|os.O_APPEND, 0o644)
+	if err != nil {
+		return fmt.Errorf("perfhist: %w", err)
+	}
+	fi, err := f.Stat()
+	if err == nil && fi.Size() > 0 {
+		var last [1]byte
+		if _, err = f.ReadAt(last[:], fi.Size()-1); err == nil && last[0] != '\n' {
+			line = append([]byte{'\n'}, line...)
+		}
+	}
+	if err != nil {
+		f.Close()
+		return fmt.Errorf("perfhist: %w", err)
+	}
+	_, werr := f.Write(append(line, '\n'))
+	if cerr := f.Close(); werr == nil {
+		werr = cerr
+	}
+	if werr != nil {
+		return fmt.Errorf("perfhist: %w", werr)
+	}
+	return nil
+}
+
 // BenchNames returns every benchmark name seen in the history, in
 // first-seen order.
 func (h *History) BenchNames() []string {

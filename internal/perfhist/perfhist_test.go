@@ -71,6 +71,41 @@ func TestDecodeTornTail(t *testing.T) {
 	}
 }
 
+func TestAppendSealsTornTail(t *testing.T) {
+	base := time.Date(2026, 8, 1, 12, 0, 0, 0, time.UTC)
+	r1 := mkRecord("aaa", base, map[string][2]float64{"SimulateSuite": {100, 1e6}})
+	r2 := mkRecord("bbb", base.Add(time.Hour), map[string][2]float64{"SimulateSuite": {110, 0.9e6}})
+	b1, _ := json.Marshal(r1)
+	b2, _ := json.Marshal(r2)
+	path := filepath.Join(t.TempDir(), "hist.jsonl")
+	// One good record, then the torn tail of a crashed append.
+	if err := os.WriteFile(path, []byte(string(b1)+"\n"+string(b2[:len(b2)/2])), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := Append(path, r2); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Decode(strings.NewReader(string(raw)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(h.Records) != 2 || h.Skipped != 1 {
+		t.Fatalf("decoded %d records (%d skipped), want 2 (1 skipped): the append merged into the torn line",
+			len(h.Records), h.Skipped)
+	}
+	if h.Records[1].GitSHA != "bbb" {
+		t.Fatalf("appended record is %q, want bbb", h.Records[1].GitSHA)
+	}
+	// Only the torn line itself is a violation; the appended line is clean.
+	if errs := CheckLog(strings.NewReader(string(raw))); len(errs) != 1 || !strings.HasPrefix(errs[0], "line 2:") {
+		t.Fatalf("CheckLog = %v, want only the torn line 2 flagged", errs)
+	}
+}
+
 func TestDecodeMixedSchema(t *testing.T) {
 	// An old PR-6 row: no rounds, no note, no instr_per_sec — fields
 	// added since must decode as zero values, and the row must still

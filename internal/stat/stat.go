@@ -276,30 +276,6 @@ func KSTwoSample(a, b []float64) float64 {
 	return d
 }
 
-// Histogram counts xs into bins equal-width bins over [min,max]. Values at
-// max land in the last bin. It panics if bins < 1 or max <= min.
-func Histogram(xs []float64, bins int, min, max float64) []int {
-	if bins < 1 {
-		panic("stat: Histogram with bins < 1")
-	}
-	if max <= min {
-		panic("stat: Histogram with max <= min")
-	}
-	counts := make([]int, bins)
-	width := (max - min) / float64(bins)
-	for _, x := range xs {
-		if x < min || x > max {
-			continue
-		}
-		b := int((x - min) / width)
-		if b >= bins {
-			b = bins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
 // Pearson returns the Pearson correlation coefficient of two equal-length
 // samples, in [−1, 1]. If either sample is constant the correlation is
 // undefined and 0 is returned. It panics on length mismatch or fewer than

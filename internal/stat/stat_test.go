@@ -342,20 +342,6 @@ func TestKSBounds(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{0, 0.1, 0.5, 0.9, 1.0}, 2, 0, 1)
-	if counts[0] != 2 || counts[1] != 3 {
-		t.Fatalf("Histogram = %v", counts)
-	}
-}
-
-func TestHistogramIgnoresOutOfRange(t *testing.T) {
-	counts := Histogram([]float64{-1, 0.5, 2}, 1, 0, 1)
-	if counts[0] != 1 {
-		t.Fatalf("Histogram = %v", counts)
-	}
-}
-
 func TestPearsonPerfectCorrelation(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
