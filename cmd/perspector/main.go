@@ -68,8 +68,9 @@ import (
 	"perspector/internal/buildinfo"
 	"perspector/internal/cli"
 	"perspector/internal/perf"
-	"perspector/internal/source"
+	"perspector/internal/stage"
 	"perspector/internal/store"
+	"perspector/internal/trace"
 	"perspector/internal/workload"
 )
 
@@ -619,16 +620,26 @@ func runScoreFile(args []string) error {
 		return err
 	}
 	defer d.Close()
-	src := source.TraceFile{Path: *path, Format: *format, SuiteName: *suiteName}
+	// readTrace decodes the file as it stands; its errors are tagged with
+	// the measure stage, like a simulated suite's.
+	readTrace := func() (m *perf.SuiteMeasurement, err error) {
+		f, err := os.Open(*path)
+		if err == nil {
+			m, err = trace.Read(f, *format, *suiteName)
+			f.Close()
+		}
+		if err != nil {
+			return nil, stage.Wrap(stage.Measure, *suiteName, "", err)
+		}
+		return m, nil
+	}
 	if *follow {
 		// Each observed change feeds the incremental engine as an append
 		// (new workloads, grown totals, longer series) and is rescored at
 		// delta cost — bit-identical to batch-scoring the file as it
 		// stands; rewrites of history fall back to an exact rebuild.
 		return cli.FollowScores(d.Context(), cli.FollowOptions{
-			Parse: func() (*perf.SuiteMeasurement, error) {
-				return src.Measure(d.Context(), perspector.Suite{})
-			},
+			Parse: readTrace,
 			Stat: func() (string, error) {
 				fi, err := os.Stat(*path)
 				if err != nil {
@@ -642,7 +653,7 @@ func runScoreFile(args []string) error {
 			MaxUpdates: *maxUpdates,
 		})
 	}
-	m, err := src.Measure(d.Context(), perspector.Suite{})
+	m, err := readTrace()
 	if err != nil {
 		return err
 	}

@@ -275,6 +275,19 @@ func TestRunExportScoreFileRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunScoreFileErrors checks that an unknown format is rejected and
+// that an unreadable file fails with a measure-stage error.
+func TestRunScoreFileErrors(t *testing.T) {
+	if err := runScoreFile([]string{"-f", "x", "-format", "xml"}); err == nil {
+		t.Error("unknown format accepted")
+	}
+	err := runScoreFile([]string{"-f", filepath.Join(t.TempDir(), "missing.json")})
+	var se *stage.Error
+	if !errors.As(err, &se) || se.Stage != stage.Measure {
+		t.Fatalf("missing file: error %v carries no measure-stage tag", err)
+	}
+}
+
 // TestRunScoreTimeout drives the -timeout satellite end to end in
 // process: an instruction budget far beyond the deadline must come back
 // as a stage-tagged cancellation error (which main turns into a

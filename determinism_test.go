@@ -13,7 +13,6 @@ import (
 
 	"perspector"
 	"perspector/internal/cache"
-	"perspector/internal/source"
 )
 
 // determinismConfig is a reduced-budget configuration: large enough that
@@ -84,12 +83,11 @@ func TestScoreDeterminismColdVsWarmCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := perspector.DefaultOptions()
-	src := source.Caching{Inner: source.Simulator{Cfg: cfg}, Store: st}
 
 	run := func() []perspector.Scores {
 		var ms []*perspector.Measurement
 		for _, s := range perspector.StockSuites(cfg) {
-			m, err := src.Measure(context.Background(), s)
+			m, _, err := st.Measure(context.Background(), s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

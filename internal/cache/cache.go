@@ -64,9 +64,22 @@
 //
 // A nil *Store is a valid pass-through: Get always misses and Put is a
 // no-op, which lets callers thread one variable through -no-cache paths.
+//
+// # Measure
+//
+// Store.Measure is the one cached measurement path: the CLIs and
+// perspectord's jobs measure through it. On a hit it returns the
+// decoded entry; on a miss it runs suites.RunContext and stores the
+// result. It records a "measure" span whose "cache" attribute is "hit"
+// or "miss", and counts obs.CounterCacheHits or obs.CounterCacheMisses,
+// in the recorder ctx carries. A failed or cancelled run is never
+// stored, and a failed Put does not fail the measurement. On a nil
+// Store, Measure simulates every time without computing the key:
+// nothing could hit.
 package cache
 
 import (
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -75,6 +88,7 @@ import (
 	"path/filepath"
 	"sync/atomic"
 
+	"perspector/internal/obs"
 	"perspector/internal/perf"
 	"perspector/internal/suites"
 	"perspector/internal/workload"
@@ -202,6 +216,30 @@ func (st *Store) Put(key string, m *perf.SuiteMeasurement) error {
 		return fmt.Errorf("cache: %w", err)
 	}
 	return nil
+}
+
+// Measure returns the measurement of s under cfg: the stored entry on a
+// hit, else a fresh simulation, which it stores. hit reports which one
+// ran. See the package comment for the contract.
+func (st *Store) Measure(ctx context.Context, s suites.Suite, cfg suites.Config) (m *perf.SuiteMeasurement, hit bool, err error) {
+	ctx, span := obs.Start(ctx, "measure", obs.String("suite", s.Name))
+	defer span.End()
+	var key string
+	if st != nil {
+		key = Key(s, cfg)
+		if m, ok := st.Get(key); ok {
+			span.SetAttr("cache", "hit")
+			obs.FromContext(ctx).Count(obs.CounterCacheHits, 1)
+			return m, true, nil
+		}
+	}
+	span.SetAttr("cache", "miss")
+	obs.FromContext(ctx).Count(obs.CounterCacheMisses, 1)
+	if m, err = suites.RunContext(ctx, s, cfg); err != nil {
+		return nil, false, err
+	}
+	st.Put(key, m) // a failed write (e.g. a full disk) only loses the entry
+	return m, false, nil
 }
 
 // Hits returns the number of cache hits since Open.

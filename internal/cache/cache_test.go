@@ -2,6 +2,7 @@ package cache
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -12,7 +13,9 @@ import (
 	"sync"
 	"testing"
 
+	"perspector/internal/obs"
 	"perspector/internal/perf"
+	"perspector/internal/stage"
 	"perspector/internal/suites"
 	"perspector/internal/trace"
 	"perspector/internal/workload"
@@ -109,23 +112,16 @@ func TestStoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key := Key(s, cfg)
-	if _, ok := st.Get(key); ok {
-		t.Fatal("empty store hit")
-	}
-	cold, err := suites.Run(s, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Put(key, cold); err != nil {
-		t.Fatal(err)
+	cold, hit, err := st.Measure(context.Background(), s, cfg)
+	if err != nil || hit {
+		t.Fatalf("cold run: hit=%v, err=%v", hit, err)
 	}
 	if st.Hits() != 0 || st.Misses() != 1 {
 		t.Fatalf("cold run: hits=%d misses=%d", st.Hits(), st.Misses())
 	}
-	warm, ok := st.Get(key)
-	if !ok {
-		t.Fatal("stored entry missed")
+	warm, hit, err := st.Measure(context.Background(), s, cfg)
+	if err != nil || !hit {
+		t.Fatalf("stored entry missed: hit=%v, err=%v", hit, err)
 	}
 	if st.Hits() != 1 {
 		t.Fatalf("warm run did not hit: hits=%d misses=%d", st.Hits(), st.Misses())
@@ -260,16 +256,12 @@ func TestCorruptEntryHealsAsMiss(t *testing.T) {
 			t.Fatalf("%s: corrupt entry not removed", name)
 		}
 	}
-	// The slot heals: a fresh Put fills it and the next Get hits.
-	m, err := suites.Run(s, cfg)
-	if err != nil {
-		t.Fatal(err)
+	// The slot heals: a measurement refills it and the next one hits.
+	if _, hit, err := st.Measure(context.Background(), s, cfg); err != nil || hit {
+		t.Fatalf("healing run: hit=%v, err=%v", hit, err)
 	}
-	if err := st.Put(key, m); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := st.Get(key); !ok {
-		t.Fatal("healed entry did not hit")
+	if _, hit, err := st.Measure(context.Background(), s, cfg); err != nil || !hit {
+		t.Fatalf("healed entry did not hit: hit=%v, err=%v", hit, err)
 	}
 }
 
@@ -428,6 +420,135 @@ func TestPutIsAtomicUnderConcurrentReaders(t *testing.T) {
 	}
 	if len(tmps) != 0 {
 		t.Fatalf("Put left temp files behind: %v", tmps)
+	}
+}
+
+// measureConfig is a budget small enough to simulate in every test.
+func measureConfig() suites.Config {
+	cfg := suites.DefaultConfig()
+	cfg.Instructions = 5_000
+	cfg.Samples = 5
+	return cfg
+}
+
+// TestMeasureHitMiss measures a suite cold and warm: the warm run is a
+// hit returning the same measurement, and each run records one measure
+// span and one hit or miss counter in the context's recorder.
+func TestMeasureHitMiss(t *testing.T) {
+	cfg := measureConfig()
+	s := suite(t, "nbench", cfg)
+	s.Specs = s.Specs[:2]
+	st, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	ctx := obs.WithRecorder(context.Background(), rec)
+
+	cold, hit, err := st.Measure(ctx, s, cfg)
+	if err != nil || hit {
+		t.Fatalf("cold run: hit=%v, err=%v", hit, err)
+	}
+	if st.Hits() != 0 || st.Misses() != 1 {
+		t.Fatalf("cold run: %d hits, %d misses", st.Hits(), st.Misses())
+	}
+	warm, hit, err := st.Measure(ctx, s, cfg)
+	if err != nil || !hit {
+		t.Fatalf("warm run: hit=%v, err=%v", hit, err)
+	}
+	if st.Hits() != 1 || st.Misses() != 1 {
+		t.Fatalf("warm run: %d hits, %d misses", st.Hits(), st.Misses())
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatal("warm measurement differs from cold")
+	}
+	f := rec.Fold()
+	if f.Counters[obs.CounterCacheHits] != 1 || f.Counters[obs.CounterCacheMisses] != 1 {
+		t.Fatalf("recorded counters %v, want one hit and one miss", f.Counters)
+	}
+	if agg := f.Stages["measure"]; agg == nil || agg.Count != 2 {
+		t.Fatalf("measure spans: %+v, want 2", agg)
+	}
+}
+
+// TestMeasureCorruptEntryHeals overwrites the stored entry: the next
+// Measure treats it as a miss, re-simulates the same measurement and
+// heals the slot, so the third one hits.
+func TestMeasureCorruptEntryHeals(t *testing.T) {
+	cfg := measureConfig()
+	s := suite(t, "nbench", cfg)
+	s.Specs = s.Specs[:2]
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cold, _, err := st.Measure(context.Background(), s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(onlyEntry(t, dir), []byte("{torn"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	healed, hit, err := st.Measure(context.Background(), s, cfg)
+	if err != nil || hit {
+		t.Fatalf("corrupt entry: hit=%v, err=%v", hit, err)
+	}
+	if !reflect.DeepEqual(cold, healed) {
+		t.Fatal("healed measurement differs from original")
+	}
+	if st.Misses() != 2 {
+		t.Fatalf("corrupt entry not counted as miss: %d misses", st.Misses())
+	}
+	if _, hit, err := st.Measure(context.Background(), s, cfg); err != nil || !hit {
+		t.Fatalf("healed entry: hit=%v, err=%v", hit, err)
+	}
+}
+
+// TestMeasureNilStore measures through a nil Store: a plain simulation,
+// reported and recorded as a miss.
+func TestMeasureNilStore(t *testing.T) {
+	cfg := measureConfig()
+	s := suite(t, "nbench", cfg)
+	s.Specs = s.Specs[:2]
+	direct, err := suites.Run(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := obs.NewRecorder()
+	var st *Store
+	through, hit, err := st.Measure(obs.WithRecorder(context.Background(), rec), s, cfg)
+	if err != nil || hit {
+		t.Fatalf("nil store: hit=%v, err=%v", hit, err)
+	}
+	if !reflect.DeepEqual(direct, through) {
+		t.Fatal("nil-store Measure altered the measurement")
+	}
+	if n := rec.Fold().Counters[obs.CounterCacheMisses]; n != 1 {
+		t.Fatalf("nil store recorded %d misses, want 1", n)
+	}
+}
+
+// TestCancelledMeasureNotCached cancels a measurement before it runs:
+// the error is a cancellation, and nothing is stored.
+func TestCancelledMeasureNotCached(t *testing.T) {
+	cfg := measureConfig()
+	s := suite(t, "nbench", cfg)
+	s.Specs = s.Specs[:2]
+	dir := t.TempDir()
+	st, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, _, err := st.Measure(ctx, s, cfg); err == nil {
+		t.Fatal("cancelled measurement succeeded")
+	} else if !stage.Canceled(err) {
+		t.Fatalf("error not recognized as cancellation: %v", err)
+	}
+	if entries, _ := filepath.Glob(filepath.Join(dir, "*")); len(entries) != 0 {
+		t.Fatalf("cancelled (partial) measurement was cached: %v", entries)
 	}
 }
 

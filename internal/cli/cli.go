@@ -4,7 +4,7 @@
 // fan-out, verbose statistics — and the duplication had already started
 // to drift. The driver owns that stack once:
 //
-//	flags → Config → Caching(Simulator) source → par.DoErr fan-out
+//	flags → Config → par.DoErrCtx fan-out → cache.Store.Measure
 //
 // plus the run context: -timeout becomes a context deadline and SIGINT a
 // graceful cancellation, both flowing through every measurement and
@@ -30,7 +30,6 @@ import (
 	"perspector/internal/obs"
 	"perspector/internal/par"
 	"perspector/internal/perf"
-	"perspector/internal/source"
 	"perspector/internal/suites"
 )
 
@@ -198,15 +197,11 @@ func (d *Driver) writeTelemetry() error {
 	return nil
 }
 
-// Source returns the measuring source for cfg: the simulator wrapped in
-// the cache decorator (a nil store passes straight through).
-func (d *Driver) Source(cfg suites.Config) source.Source {
-	return source.Caching{Inner: source.Simulator{Cfg: cfg}, Store: d.Store}
-}
-
-// Measure measures one suite under the flag config.
+// Measure measures one suite under the flag config, through the cache
+// (a nil store simulates every time).
 func (d *Driver) Measure(s suites.Suite) (*perf.SuiteMeasurement, error) {
-	return d.Source(d.Flags.Config()).Measure(d.ctx, s)
+	m, _, err := d.Store.Measure(d.ctx, s, d.Flags.Config())
+	return m, err
 }
 
 // ResolveSuite returns the suite a command should operate on: when file
@@ -237,15 +232,10 @@ func ResolveSuite(name, file string, cfg suites.Config) (suites.Suite, error) {
 // serial loop.
 func (d *Driver) MeasureSuites(ss []suites.Suite) ([]*perf.SuiteMeasurement, error) {
 	cfg := d.Flags.Config()
-	src := d.Source(cfg)
 	ms := make([]*perf.SuiteMeasurement, len(ss))
-	err := par.DoErrCtx(d.ctx, len(ss), func(ctx context.Context, _, i int) error {
-		m, err := src.Measure(ctx, ss[i])
-		if err != nil {
-			return err
-		}
-		ms[i] = m
-		return nil
+	err := par.DoErrCtx(d.ctx, len(ss), func(ctx context.Context, _, i int) (err error) {
+		ms[i], _, err = d.Store.Measure(ctx, ss[i], cfg)
+		return err
 	})
 	if err != nil {
 		return nil, err
@@ -276,12 +266,8 @@ func (d *Driver) MeasureSeedsFrom(build func(suites.Config) (suites.Suite, error
 		if err != nil {
 			return err
 		}
-		m, err := d.Source(cfg).Measure(ctx, s)
-		if err != nil {
-			return err
-		}
-		runs[r] = m
-		return nil
+		runs[r], _, err = d.Store.Measure(ctx, s, cfg)
+		return err
 	})
 	if err != nil {
 		return nil, err

@@ -40,6 +40,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"perspector/internal/cache"
 	"perspector/internal/obs"
 	"perspector/internal/stage"
 	"perspector/internal/store"
@@ -632,7 +633,7 @@ func hashRequest(r *Request) string {
 			fmt.Fprintf(h, "unresolvable=%v\n", err)
 		}
 		for i, s := range ss {
-			fmt.Fprintf(h, "suite[%d]=%s\n", i, sourceKey(s, cfg))
+			fmt.Fprintf(h, "suite[%d]=%s\n", i, cache.Key(s, cfg))
 		}
 	}
 	return hex.EncodeToString(h.Sum(nil))

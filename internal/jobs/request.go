@@ -7,7 +7,6 @@ import (
 	"io"
 
 	"perspector/internal/perf"
-	"perspector/internal/source"
 	"perspector/internal/store"
 	"perspector/internal/suites"
 	"perspector/internal/trace"
@@ -211,23 +210,8 @@ func (r *Request) SimConfig() suites.Config {
 // Key returns the request's content address (see hashRequest).
 func (r *Request) Key() string { return hashRequest(r) }
 
-// sourceKey is the measurement content address of one suite under cfg —
-// by construction the same key internal/cache files the measurement
-// under, which is what makes job dedup and the result store line up
-// with the measurement cache.
-func sourceKey(s suites.Suite, cfg suites.Config) string {
-	return source.Simulator{Cfg: cfg}.Key(s)
-}
-
 // ParseTrace decodes an upload into a measurement. Both the submit path
 // (early 400s) and the runner use it, so a trace that admits also runs.
 func ParseTrace(t *TraceUpload) (*perf.SuiteMeasurement, error) {
-	switch t.Format {
-	case "json":
-		return trace.ReadJSON(bytes.NewReader(t.Data))
-	case "csv":
-		return trace.ReadCSV(bytes.NewReader(t.Data), t.Name)
-	default:
-		return nil, fmt.Errorf("jobs: unknown trace format %q", t.Format)
-	}
+	return trace.Read(bytes.NewReader(t.Data), t.Format, t.Name)
 }

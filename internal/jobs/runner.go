@@ -7,10 +7,8 @@ import (
 	"perspector/internal/metric"
 	"perspector/internal/par"
 	"perspector/internal/perf"
-	"perspector/internal/source"
 	"perspector/internal/stage"
 	"perspector/internal/store"
-	"perspector/internal/suites"
 )
 
 // EngineRunner returns the production Runner: it measures through the
@@ -63,19 +61,21 @@ func runSimulated(ctx context.Context, h *Handle, req Request, opts metric.Optio
 	if err != nil {
 		return store.ScoreSet{}, stage.Wrap(stage.Measure, "", "", err)
 	}
-	// The counting layer sits inside the cache decorator, so instructions
-	// are accounted only when the simulator actually runs — a cache hit
-	// retires nothing.
-	src := source.Caching{
-		Inner: countingSource{inner: source.Simulator{Cfg: cfg}, h: h},
-		Store: cacheStore,
-	}
 	h.SetStage("measure", len(ss))
 	ms := make([]*perf.SuiteMeasurement, len(ss))
 	err = par.DoErrCtx(ctx, len(ss), func(ctx context.Context, _, i int) error {
-		m, err := src.Measure(ctx, ss[i])
+		m, hit, err := cacheStore.Measure(ctx, ss[i], cfg)
 		if err != nil {
 			return err
+		}
+		// Only a simulation retires instructions: each workload's own
+		// budget, which a suite spec may pin apart from the config's.
+		if !hit {
+			var n uint64
+			for _, spec := range ss[i].Specs {
+				n += spec.Instructions
+			}
+			h.AddInstructions(n)
 		}
 		ms[i] = m
 		h.Advance(1)
@@ -93,26 +93,3 @@ func runSimulated(ctx context.Context, h *Handle, req Request, opts metric.Optio
 	rc := req.Config
 	return store.New(req.Kind, req.Group, "simulator", &rc, scores), nil
 }
-
-// countingSource accounts simulated instructions as they retire: each
-// workload's own budget, which a suite spec may pin apart from the
-// config's. It forwards Key, so the cache decorator around it still
-// content-addresses entries identically to a bare Simulator.
-type countingSource struct {
-	inner source.Source
-	h     *Handle
-}
-
-func (c countingSource) Measure(ctx context.Context, s suites.Suite) (*perf.SuiteMeasurement, error) {
-	m, err := c.inner.Measure(ctx, s)
-	if err == nil {
-		var n uint64
-		for _, spec := range s.Specs {
-			n += spec.Instructions
-		}
-		c.h.AddInstructions(n)
-	}
-	return m, err
-}
-
-func (c countingSource) Key(s suites.Suite) string { return c.inner.Key(s) }

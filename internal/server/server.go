@@ -3,7 +3,7 @@
 //
 //	server (transport, observability)
 //	  → jobs (queue, dedup, cancellation, drain)
-//	    → engine (internal/source + internal/metric, untouched)
+//	    → engine (internal/cache + internal/metric, untouched)
 //	      → store (durable ScoreSets)
 //
 // The server owns nothing but translation and observability: request

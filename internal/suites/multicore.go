@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"perspector/internal/par"
 	"perspector/internal/perf"
 	"perspector/internal/rng"
-	"perspector/internal/stage"
 	"perspector/internal/uarch"
 	"perspector/internal/workload"
 )
@@ -31,34 +29,10 @@ func RunMulticoreContext(ctx context.Context, s Suite, cfg Config, threads int) 
 	if threads < 1 {
 		return nil, fmt.Errorf("suites: RunMulticore with %d threads", threads)
 	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(s.Specs) == 0 {
-		return nil, fmt.Errorf("suites: suite %q has no workloads", s.Name)
-	}
-	sm := &perf.SuiteMeasurement{
-		Suite:     s.Name,
-		Workloads: make([]perf.Measurement, len(s.Specs)),
-	}
-
-	// One multicore machine per worker, held across every workload that
-	// worker shards, as RunContext holds its machines: Reconfigure resets
-	// it between items, so the shared L3 and the cores are allocated once
-	// per worker instead of once per workload.
-	machines := make([]*uarch.MultiCore, par.Workers())
-	err := par.DoErr(ctx, len(s.Specs), func(worker, i int) error {
-		meas, err := runOneMulticore(ctx, s.Specs[i], cfg, threads, &machines[worker])
-		if err != nil {
-			return stage.Wrap(stage.Measure, s.Name, s.Specs[i].Name, err)
-		}
-		sm.Workloads[i] = *meas
-		return nil
-	})
-	if err != nil {
-		return nil, stage.Wrap(stage.Measure, s.Name, "", err)
-	}
-	return sm, nil
+	// Multicore machines are not pooled, so there is nothing to release.
+	return runSuite(ctx, s, cfg, func(ctx context.Context, spec workload.Spec, cfg Config, slot **uarch.MultiCore) (*perf.Measurement, error) {
+		return runOneMulticore(ctx, spec, cfg, threads, slot)
+	}, nil)
 }
 
 // runOneMulticore measures one workload on the worker's multicore

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"perspector/internal/obs"
 	"perspector/internal/perf"
 	"perspector/internal/uarch"
 	"perspector/internal/workload"
@@ -174,5 +175,20 @@ func TestRunOneMulticoreReusesMachine(t *testing.T) {
 	}
 	if fresh == first {
 		t.Fatal("an empty slot did not get a new machine")
+	}
+}
+
+// TestRunMulticoreRecordsWorkloadSpans checks that a multicore
+// measurement is visible in traces like a single-core one: one
+// "workload" span per spec.
+func TestRunMulticoreRecordsWorkloadSpans(t *testing.T) {
+	cfg := testConfig()
+	s := stock(t, "nbench", cfg)
+	rec := obs.NewRecorder()
+	if _, err := RunMulticoreContext(obs.WithRecorder(context.Background(), rec), s, cfg, 2); err != nil {
+		t.Fatal(err)
+	}
+	if agg := rec.Fold().Stages["workload"]; agg == nil || agg.Count != int64(len(s.Specs)) {
+		t.Fatalf("workload spans: %+v, want %d", agg, len(s.Specs))
 	}
 }

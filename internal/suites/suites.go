@@ -118,6 +118,20 @@ func Run(s Suite, cfg Config) (*perf.SuiteMeasurement, error) {
 // cancellations surface as *stage.Error values tagged with the suite and
 // (when one was executing) the workload.
 func RunContext(ctx context.Context, s Suite, cfg Config) (*perf.SuiteMeasurement, error) {
+	// A func literal, not the method value, so that passing it allocates nothing.
+	return runSuite(ctx, s, cfg, runOne, func(m *uarch.Machine) { uarch.DefaultMachinePool.Put(m) })
+}
+
+// runSuite is the fan-out behind RunContext and RunMulticoreContext: it
+// runs measure on every workload of s over the worker pool, each under a
+// "workload" span on its worker's track and the suite pprof label, and
+// keeps suite order. Each worker keeps one slot (its machine) across the
+// workloads it shards, reconfigured in place as a pool Get would, so
+// results are bit-identical to per-workload allocation; release, if
+// set, gets each slot back afterwards.
+func runSuite[M any](ctx context.Context, s Suite, cfg Config,
+	measure func(ctx context.Context, spec workload.Spec, cfg Config, slot *M) (*perf.Measurement, error),
+	release func(M)) (*perf.SuiteMeasurement, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -128,20 +142,13 @@ func RunContext(ctx context.Context, s Suite, cfg Config) (*perf.SuiteMeasuremen
 		Suite:     s.Name,
 		Workloads: make([]perf.Measurement, len(s.Specs)),
 	}
-	// The suite label rides the context into the pool workers (DoErrCtx
-	// re-applies context labels per worker goroutine), so CPU-profile
-	// samples of simulator work attribute to the suite being measured.
 	ctx = pprof.WithLabels(ctx, pprof.Labels("suite", s.Name))
-	// One machine per worker, held across every workload that worker
-	// shards: Reconfigure resets it between items exactly as a pool Get
-	// would, so results are bit-identical to per-workload Get/Put while
-	// the pool lock is taken once per worker instead of once per workload.
-	machines := make([]*uarch.Machine, par.Workers())
+	slots := make([]M, par.Workers())
 	err := par.DoErrCtx(ctx, len(s.Specs), func(ctx context.Context, worker, i int) error {
 		wctx, span := obs.Start(ctx, "workload",
 			obs.String("suite", s.Name), obs.String("workload", s.Specs[i].Name))
 		span.SetWorker(worker)
-		meas, err := runOne(wctx, s.Specs[i], cfg, &machines[worker])
+		meas, err := measure(wctx, s.Specs[i], cfg, &slots[worker])
 		span.End()
 		if err != nil {
 			return stage.Wrap(stage.Measure, s.Name, s.Specs[i].Name, err)
@@ -149,8 +156,10 @@ func RunContext(ctx context.Context, s Suite, cfg Config) (*perf.SuiteMeasuremen
 		sm.Workloads[i] = *meas
 		return nil
 	})
-	for _, m := range machines {
-		uarch.DefaultMachinePool.Put(m)
+	if release != nil {
+		for _, m := range slots {
+			release(m)
+		}
 	}
 	if err != nil {
 		// Covers the path where ctx fired before any workload failed:

@@ -50,16 +50,17 @@ func WriteJSON(w io.Writer, sm *perf.SuiteMeasurement) error {
 	for i, c := range counters {
 		out.Counters[i] = c.String()
 	}
-	if len(sm.Workloads) > 0 {
-		out.Interval = sm.Workloads[0].Series.Interval
-	}
 	for i := range sm.Workloads {
 		m := &sm.Workloads[i]
 		jw := jsonWorkload{Name: m.Workload, Totals: make([]uint64, len(counters))}
 		for j, c := range counters {
 			jw.Totals[j] = m.Totals.Get(c)
 		}
-		if m.Series.Len() > 0 {
+		if hasSamples(m) {
+			// The schema holds one interval: the first sampled workload's.
+			if out.Interval == 0 {
+				out.Interval = m.Series.Interval
+			}
 			jw.Series = make([][]float64, len(counters))
 			for j, c := range counters {
 				jw.Series[j] = m.Series.Series(c)
@@ -69,6 +70,16 @@ func WriteJSON(w io.Writer, sm *perf.SuiteMeasurement) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(&out)
+}
+
+// hasSamples reports whether any counter of m was sampled.
+func hasSamples(m *perf.Measurement) bool {
+	for _, s := range m.Series.Samples {
+		if len(s) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // ReadJSON reconstructs a measurement written by WriteJSON (or produced
@@ -82,16 +93,17 @@ func ReadJSON(r io.Reader) (*perf.SuiteMeasurement, error) {
 	if in.Version != Version {
 		return nil, fmt.Errorf("trace: unsupported version %d (want %d)", in.Version, Version)
 	}
-	counters := make([]perf.Counter, len(in.Counters))
-	for i, name := range in.Counters {
-		c, err := perf.ParseCounter(name)
-		if err != nil {
-			return nil, fmt.Errorf("trace: column %d: %w", i, err)
-		}
-		counters[i] = c
+	counters, err := parseCounters(in.Counters)
+	if err != nil {
+		return nil, err
 	}
 	sm := &perf.SuiteMeasurement{Suite: in.Suite}
+	seen := map[string]bool{}
 	for _, jw := range in.Workloads {
+		if seen[jw.Name] {
+			return nil, fmt.Errorf("trace: duplicate workload %q", jw.Name)
+		}
+		seen[jw.Name] = true
 		if len(jw.Totals) != len(counters) {
 			return nil, fmt.Errorf("trace: workload %q has %d totals for %d counters",
 				jw.Name, len(jw.Totals), len(counters))
@@ -164,13 +176,9 @@ func ReadCSV(r io.Reader, suiteName string) (*perf.SuiteMeasurement, error) {
 	if len(header) < 2 || header[0] != "workload" {
 		return nil, fmt.Errorf("trace: header must start with \"workload\", got %v", header)
 	}
-	counters := make([]perf.Counter, len(header)-1)
-	for i, name := range header[1:] {
-		c, err := perf.ParseCounter(name)
-		if err != nil {
-			return nil, fmt.Errorf("trace: column %d: %w", i+1, err)
-		}
-		counters[i] = c
+	counters, err := parseCounters(header[1:])
+	if err != nil {
+		return nil, err
 	}
 	sm := &perf.SuiteMeasurement{Suite: suiteName}
 	seen := map[string]bool{}
@@ -204,4 +212,36 @@ func ReadCSV(r io.Reader, suiteName string) (*perf.SuiteMeasurement, error) {
 		return nil, fmt.Errorf("trace: no workload rows")
 	}
 	return sm, nil
+}
+
+// parseCounters resolves counter names. A counter named twice is an
+// error: summing its columns, or keeping one, would each hand the
+// scorer a value the source never reported.
+func parseCounters(names []string) ([]perf.Counter, error) {
+	counters := make([]perf.Counter, len(names))
+	var seen [perf.NumCounters]bool
+	for i, name := range names {
+		c, err := perf.ParseCounter(name)
+		if err != nil {
+			return nil, fmt.Errorf("trace: counter %d: %w", i+1, err)
+		}
+		if seen[c] {
+			return nil, fmt.Errorf("trace: counter %q listed twice", name)
+		}
+		seen[c] = true
+		counters[i] = c
+	}
+	return counters, nil
+}
+
+// Read decodes a trace in format "json" (see ReadJSON) or "csv" (see
+// ReadCSV, which names the suite suiteName).
+func Read(r io.Reader, format, suiteName string) (*perf.SuiteMeasurement, error) {
+	switch format {
+	case "json":
+		return ReadJSON(r)
+	case "csv":
+		return ReadCSV(r, suiteName)
+	}
+	return nil, fmt.Errorf("trace: unknown format %q", format)
 }

@@ -97,6 +97,10 @@ func TestReadJSONRejectsBadInput(t *testing.T) {
 			`"workloads":[{"name":"","totals":[1]}]}`,
 		"ragged series": `{"version":1,"suite":"x","counters":["cpu-cycles"],` +
 			`"workloads":[{"name":"w","totals":[1],"series":[[1,2],[1]]}]}`,
+		"repeated counter": `{"version":1,"suite":"x","counters":["LLC-loads","LLC-loads"],` +
+			`"workloads":[{"name":"w","totals":[5,7],"series":[[1,2],[3,4]]}]}`,
+		"repeated workload": `{"version":1,"suite":"x","counters":["cpu-cycles"],` +
+			`"workloads":[{"name":"w","totals":[1]},{"name":"w","totals":[2]}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadJSON(strings.NewReader(in)); err == nil {
@@ -160,6 +164,7 @@ func TestReadCSVRejectsBadInput(t *testing.T) {
 		"duplicate name":    "workload,cpu-cycles\nw,1\nw,2\n",
 		"no rows":           "workload,cpu-cycles\n",
 		"short header only": "workload\n",
+		"repeated counter":  "workload,LLC-loads,LLC-loads\nw1,5,7\n",
 	}
 	for name, in := range cases {
 		if _, err := ReadCSV(strings.NewReader(in), "x"); err == nil {
@@ -168,6 +173,59 @@ func TestReadCSVRejectsBadInput(t *testing.T) {
 	}
 	if _, err := ReadCSV(strings.NewReader("workload,cpu-cycles\nw,1\n"), ""); err == nil {
 		t.Error("empty suite name accepted")
+	}
+}
+
+// TestJSONIntervalFromSampledWorkload writes a suite whose first
+// workload carries no series: the sample interval of the sampled ones
+// must survive the round trip.
+func TestJSONIntervalFromSampledWorkload(t *testing.T) {
+	orig := sampleMeasurement(true)
+	orig.Workloads[0].Series = perf.TimeSeries{}
+	for i := 1; i < len(orig.Workloads); i++ {
+		orig.Workloads[i].Series.Interval = 10
+	}
+	var buf bytes.Buffer
+	if err := WriteJSON(&buf, orig); err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadJSON(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(back.Workloads); i++ {
+		if got := back.Workloads[i].Series.Interval; got != 10 {
+			t.Fatalf("workload %d interval read back as %d, want 10", i, got)
+		}
+	}
+}
+
+// TestReadCSVTotalsOnly reads a CSV trace through Read: the suite takes
+// the given name and no workload carries series.
+func TestReadCSVTotalsOnly(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCSV(&buf, sampleMeasurement(true), perf.AllCounters()); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(&buf, "csv", "imported")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Suite != "imported" {
+		t.Fatalf("suite name = %q", got.Suite)
+	}
+	for i := range got.Workloads {
+		if got.Workloads[i].Series.Len() != 0 {
+			t.Fatalf("CSV import carries series for workload %d", i)
+		}
+	}
+}
+
+func TestReadUnknownFormat(t *testing.T) {
+	for _, format := range []string{"", "xml", "JSON"} {
+		if _, err := Read(strings.NewReader("{}"), format, "x"); err == nil {
+			t.Errorf("format %q accepted", format)
+		}
 	}
 }
 
