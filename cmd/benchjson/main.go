@@ -4,8 +4,7 @@
 // BENCH_history.jsonl (change the path with -history, disable with
 // -history ""). That log is the repository's only committed benchmark
 // record: compare simulated_instr_per_sec across commits of the same
-// machine class, or serve the trends with perspectord's /perf. Record a
-// run with
+// machine class. Record a run with
 //
 //	go run ./cmd/benchjson -note "my change"
 //

@@ -67,6 +67,7 @@ import (
 	"perspector"
 	"perspector/internal/buildinfo"
 	"perspector/internal/cli"
+	"perspector/internal/metric"
 	"perspector/internal/perf"
 	"perspector/internal/stage"
 	"perspector/internal/store"
@@ -657,17 +658,22 @@ func runScoreFile(args []string) error {
 	if err != nil {
 		return err
 	}
-	// CSV input has no time series: the engine's capability check skips
-	// the TrendScore rather than fail; report the three that ran.
-	hasSeries := len(m.Workloads) > 0 && m.Workloads[0].Series.Len() > 0
-	if !hasSeries {
+	// CSV input has no time series, and a tool may sample only some
+	// counters: when a counter of the scored group has no series, the
+	// engine's capability check skips the TrendScore rather than fail;
+	// report the three that ran and the counters that lack series.
+	if missing := metric.MissingSeries(m, opts.Counters); len(missing) > 0 {
 		x, err := perspector.ScoreTotalsOnly(m, opts)
 		if err != nil {
 			return err
 		}
+		names := make([]string, len(missing))
+		for i, c := range missing {
+			names[i] = c.String()
+		}
 		fmt.Fprintf(stdout, "%-10s %12s %12s %12s\n", "suite", "cluster(-)", "coverage(+)", "spread(-)")
 		fmt.Fprintf(stdout, "%-10s %12.4f %12.5f %12.4f\n", x.Suite, x.Cluster, x.Coverage, x.Spread)
-		fmt.Fprintln(stdout, "(no time-series data in input: TrendScore unavailable)")
+		fmt.Fprintf(stdout, "(no time-series data for %s: TrendScore unavailable)\n", strings.Join(names, ", "))
 		return nil
 	}
 	scores, err := perspector.ScoreContext(d.Context(), m, opts)

@@ -10,8 +10,10 @@ import (
 	"testing"
 
 	"perspector"
+	"perspector/internal/perf"
 	"perspector/internal/stage"
 	"perspector/internal/store"
+	"perspector/internal/trace"
 )
 
 // capture swaps stdout for a buffer around fn.
@@ -225,6 +227,61 @@ func TestRunRedundancy(t *testing.T) {
 	})
 	if !strings.Contains(out, "r =") && !strings.Contains(out, "no counter pairs") {
 		t.Errorf("redundancy output:\n%s", out)
+	}
+}
+
+// TestScoreFileGroupSeriesOnly scores a trace that samples only the LLC
+// counters. Under -group llc it scores all four, with the trend; under
+// every counter it reports the three totals-based scores and names the
+// counters that lack series.
+func TestScoreFileGroupSeriesOnly(t *testing.T) {
+	dir := t.TempDir()
+	fullPath := filepath.Join(dir, "full.json")
+	capture(t, func() error {
+		return runExport(fast("-suite", "nbench", "-o", fullPath))
+	})
+	f, err := os.Open(fullPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := trace.ReadJSON(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	llc := perf.GroupLLC().Counters
+	for i := range m.Workloads {
+		var keep perf.TimeSeries
+		keep.Interval = m.Workloads[i].Series.Interval
+		for _, c := range llc {
+			keep.Samples[c] = m.Workloads[i].Series.Samples[c]
+		}
+		m.Workloads[i].Series = keep
+	}
+	llcPath := filepath.Join(dir, "llc.json")
+	var buf bytes.Buffer
+	if err := trace.WriteJSON(&buf, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(llcPath, buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	want := capture(t, func() error {
+		return runScoreFile([]string{"-f", fullPath, "-group", "llc"})
+	})
+	got := capture(t, func() error {
+		return runScoreFile([]string{"-f", llcPath, "-group", "llc"})
+	})
+	if got != want || !strings.Contains(got, "nbench") || strings.Contains(got, "unavailable") {
+		t.Fatalf("LLC-only trace under -group llc:\n%s\nwant the full trace's\n%s", got, want)
+	}
+	out := capture(t, func() error {
+		return runScoreFile([]string{"-f", llcPath})
+	})
+	if !strings.Contains(out, "no time-series data for cpu-cycles, branch-instructions,") ||
+		strings.Contains(out, "LLC-loads") || !strings.Contains(out, "TrendScore unavailable") {
+		t.Fatalf("LLC-only trace under every counter:\n%s", out)
 	}
 }
 

@@ -26,10 +26,6 @@
 //	curl -s 'localhost:8080/api/v1/streams/s-000001/scores?since=0&wait=1'
 //	curl -s -X POST localhost:8080/api/v1/streams/s-000001/close
 //
-//	# benchmark trend dashboard over the benchjson history (-bench-history)
-//	open http://localhost:8080/perf
-//	curl -s 'localhost:8080/api/v1/perf/trends?goos=linux&goarch=amd64'
-//
 // # Fleet mode
 //
 // perspectord also runs as a coordinator/worker cluster. The
@@ -66,7 +62,6 @@ import (
 	"perspector/internal/fleet"
 	"perspector/internal/jobs"
 	"perspector/internal/par"
-	"perspector/internal/perfhist"
 	"perspector/internal/server"
 	"perspector/internal/store"
 )
@@ -87,7 +82,6 @@ type options struct {
 	jobWorkers   int
 	maxQueue     int
 	maxStreams   int
-	benchHistory string
 	drainTimeout time.Duration
 	enablePprof  bool
 	logJSON      bool
@@ -112,7 +106,6 @@ func parseFlags(args []string) (*options, error) {
 	fs.IntVar(&o.jobWorkers, "jobs", 2, "jobs running concurrently")
 	fs.IntVar(&o.maxQueue, "max-queue", 64, "jobs allowed to wait in the queue")
 	fs.IntVar(&o.maxStreams, "max-streams", jobs.DefaultMaxStreams, "concurrent incremental-scoring streams")
-	fs.StringVar(&o.benchHistory, "bench-history", "BENCH_history.jsonl", "benchjson history served on /perf and /api/v1/perf/* (empty disables; reloads live as runs append)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "how long running jobs get to finish on shutdown")
 	fs.BoolVar(&o.enablePprof, "pprof", false, "serve net/http/pprof under /debug/pprof/")
 	fs.BoolVar(&o.logJSON, "log-json", false, "log in JSON instead of text")
@@ -242,9 +235,6 @@ func run(args []string) error {
 	}
 	if o.role != "single" {
 		cfg.NodeID = o.nodeID
-	}
-	if o.benchHistory != "" {
-		cfg.PerfHist = perfhist.NewService(o.benchHistory)
 	}
 	if worker != nil {
 		cfg.Peers = worker.Peers

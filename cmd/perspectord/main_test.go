@@ -41,4 +41,9 @@ func TestParseFlagsOverridesAndErrors(t *testing.T) {
 	if _, err := parseFlags([]string{"-no-such-flag"}); err == nil {
 		t.Error("unknown flag accepted")
 	}
+	// perspectord serves no benchmark history, so -bench-history is an
+	// unknown flag.
+	if _, err := parseFlags([]string{"-bench-history", "BENCH_history.jsonl"}); err == nil {
+		t.Error("-bench-history accepted")
+	}
 }

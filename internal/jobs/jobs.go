@@ -431,6 +431,9 @@ func (q *Queue) finishLocked(j *Job, s State, err error) {
 	if err != nil {
 		j.err = errorInfo(err)
 	}
+	// The parsed upload was the runner's input only; a finished job
+	// keeps no second copy of it.
+	j.req.traceMeas = nil
 	if q.inflight[j.key] == j {
 		delete(q.inflight, j.key)
 	}

@@ -66,6 +66,8 @@ type Request struct {
 
 	// suiteSpec is the decoded SuiteSpec, set by Normalize.
 	suiteSpec *suites.SuiteSpec
+	// traceMeas is the parsed Trace upload, set by Normalize.
+	traceMeas *perf.SuiteMeasurement
 }
 
 // DecodeStrict decodes one JSON value from r into v, rejecting unknown
@@ -130,6 +132,14 @@ func (r *Request) Normalize() error {
 		if len(r.Trace.Data) > MaxTraceBytes {
 			return fmt.Errorf("jobs: trace upload exceeds %d bytes", MaxTraceBytes)
 		}
+		// Parse once here and keep the result for the runner: an upload
+		// that does not parse is refused at submission, and admit
+		// implies run.
+		m, err := trace.Read(bytes.NewReader(r.Trace.Data), r.Trace.Format, r.Trace.Name)
+		if err != nil {
+			return fmt.Errorf("jobs: trace upload does not parse: %w", err)
+		}
+		r.traceMeas = m
 		return nil
 	}
 	cfg := r.SimConfig()
@@ -209,9 +219,3 @@ func (r *Request) SimConfig() suites.Config {
 
 // Key returns the request's content address (see hashRequest).
 func (r *Request) Key() string { return hashRequest(r) }
-
-// ParseTrace decodes an upload into a measurement. Both the submit path
-// (early 400s) and the runner use it, so a trace that admits also runs.
-func ParseTrace(t *TraceUpload) (*perf.SuiteMeasurement, error) {
-	return trace.Read(bytes.NewReader(t.Data), t.Format, t.Name)
-}

@@ -32,18 +32,12 @@ func EngineRunner(cacheStore *cache.Store) Runner {
 	}
 }
 
-// runTrace scores an uploaded measurement. A totals-only CSV comes back
-// without a TrendScore via the engine's capability check, matching the
-// CLI's score-file behaviour.
+// runTrace scores the uploaded measurement Normalize parsed. A
+// totals-only CSV comes back without a TrendScore via the engine's
+// capability check, matching the CLI's score-file behaviour.
 func runTrace(ctx context.Context, h *Handle, req Request, opts metric.Options) (store.ScoreSet, error) {
-	h.SetStage("measure", 1)
-	m, err := ParseTrace(req.Trace)
-	if err != nil {
-		return store.ScoreSet{}, stage.Wrap(stage.Measure, req.Trace.Name, "", err)
-	}
-	h.Advance(1)
 	h.SetStage("score", 1)
-	scores, err := metric.ScoreSuite(ctx, m, opts, nil)
+	scores, err := metric.ScoreSuite(ctx, req.traceMeas, opts, nil)
 	if err != nil {
 		return store.ScoreSet{}, err
 	}

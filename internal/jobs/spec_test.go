@@ -170,3 +170,37 @@ func TestPinnedBudgetsCountInstructions(t *testing.T) {
 		t.Errorf("queue retired %d instructions, want 12000", got)
 	}
 }
+
+// TestNormalizeParsesTraceUpload pins admit-implies-run for uploads:
+// Normalize refuses bytes that do not parse and keeps the measurement
+// it parsed, which the runner scores without reading the bytes again.
+func TestNormalizeParsesTraceUpload(t *testing.T) {
+	for _, up := range []TraceUpload{
+		{Format: "csv", Data: []byte("not,a,header\n")},
+		{Data: []byte("{not json")}, // format defaults to json
+	} {
+		req := Request{Kind: store.KindScore, Trace: &up}
+		if err := req.Normalize(); err == nil || !strings.Contains(err.Error(), "does not parse") {
+			t.Errorf("unparseable %q upload: err = %v", up.Format, err)
+		}
+	}
+
+	csv := "workload,cpu-cycles,LLC-loads\nw0,100,10\nw1,300,20\nw2,200,70\n"
+	req := Request{Kind: store.KindScore, Trace: &TraceUpload{Format: "csv", Data: []byte(csv)}}
+	if err := req.Normalize(); err != nil {
+		t.Fatal(err)
+	}
+	if m := req.traceMeas; m == nil || m.Suite != "uploaded" || len(m.Workloads) != 3 {
+		t.Fatalf("Normalize kept %+v, want the 3-workload upload named %q", m, "uploaded")
+	}
+	req.Trace.Data = []byte("garbled after admission")
+	q := New(EngineRunner(nil), Options{Workers: 1})
+	defer q.Drain(context.Background())
+	set, err := EngineRunner(nil)(context.Background(), &Handle{q: q, job: &Job{req: req}})
+	if err != nil {
+		t.Fatalf("runner re-read the upload: %v", err)
+	}
+	if len(set.Suites) != 1 || set.Suites[0].Suite != "uploaded" || set.Suites[0].Cluster == 0 {
+		t.Fatalf("runner result: %+v", set.Suites)
+	}
+}

@@ -172,16 +172,27 @@ func NewArtifacts(sm *perf.SuiteMeasurement, opts Options) *Artifacts {
 	return &Artifacts{Meas: sm, Opts: opts}
 }
 
-// HasSeries reports whether any workload carries sampled time-series
-// data. Totals-only imports (e.g. a counters CSV) have none; metrics
-// that declare NeedsSeries are skipped for such measurements.
-func (a *Artifacts) HasSeries() bool {
-	for i := range a.Meas.Workloads {
-		if a.Meas.Workloads[i].Series.Len() > 0 {
-			return true
+// MissingSeries returns, in order, the counters that no workload of sm
+// samples. Metrics that declare NeedsSeries run only when it is empty
+// and are skipped otherwise: a totals-only import (e.g. a counters CSV)
+// lacks every series, and a tool that samples only some events lacks
+// the rest. A counter that some workloads sample and others do not is
+// not missing; the trend metric refuses it by name.
+func MissingSeries(sm *perf.SuiteMeasurement, counters []perf.Counter) []perf.Counter {
+	var missing []perf.Counter
+	for _, c := range counters {
+		sampled := false
+		for i := range sm.Workloads {
+			if len(sm.Workloads[i].Series.Samples[c]) > 0 {
+				sampled = true
+				break
+			}
+		}
+		if !sampled {
+			missing = append(missing, c)
 		}
 	}
-	return false
+	return missing
 }
 
 // Raw returns the n×m counter matrix restricted to Opts.Counters.

@@ -77,7 +77,7 @@ func scoreArtifacts(ctx context.Context, arts []*Artifacts, reg *Registry, runSt
 	err := par.DoErrCtx(ctx, len(arts), func(ctx context.Context, _, i int) error {
 		a := arts[i]
 		out[i].Suite = a.Meas.Suite
-		hasSeries := a.HasSeries()
+		hasSeries := len(MissingSeries(a.Meas, a.Opts.Counters)) == 0
 		sctx, span := obs.Start(ctx, "score", obs.String("suite", a.Meas.Suite))
 		defer span.End()
 		var suiteErr error

@@ -563,3 +563,43 @@ func TestIncrementalMemoSkipsUnchangedMetrics(t *testing.T) {
 	moved["lmbench/spread"] = 1
 	step("bound-moving totals delta", moved)
 }
+
+// TestIncrementalGroupSeriesOnly streams a trace that samples only the
+// LLC counters, each workload in two chunks. Scored under the LLC
+// group, every step must match a batch rescore bit for bit, and the
+// last must equal the full trace's LLC scores: the series chunks are
+// kept although cpu-cycles was never sampled.
+func TestIncrementalGroupSeriesOnly(t *testing.T) {
+	ctx := context.Background()
+	full := testMeasurement(t)
+	llc := keepSeries(full, perf.GroupLLC().Counters)
+	opts := incrementalTestOptions()
+	opts.Counters = perf.GroupLLC().Counters
+	run, err := NewIncrementalRun([]*perf.SuiteMeasurement{{Suite: llc.Suite}}, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range llc.Workloads {
+		m := &llc.Workloads[i]
+		first, delta, tail := splitMeasurement(m)
+		if err := run.AppendWorkload(0, first); err != nil {
+			t.Fatal(err)
+		}
+		verifyAgainstOracle(t, ctx, run, m.Workload+" (half)")
+		if err := run.AppendSamples(0, m.Workload, delta, tail); err != nil {
+			t.Fatal(err)
+		}
+		verifyAgainstOracle(t, ctx, run, m.Workload+" (rest)")
+	}
+	got, err := run.Scores(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := ScoreSuite(ctx, full, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want || want.Trend == 0 {
+		t.Fatalf("streamed LLC-only trace: %+v, want the full trace's %+v", got[0], want)
+	}
+}

@@ -3,6 +3,7 @@ package metric
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"perspector/internal/stage"
@@ -160,5 +161,84 @@ func TestTrimWarmup(t *testing.T) {
 		if len(got) != c.want || got[len(got)-1] != c.s[len(c.s)-1] {
 			t.Errorf("TrimWarmup(%d samples, %g) kept %v, want the last %d", len(c.s), c.frac, got, c.want)
 		}
+	}
+}
+
+// keepSeries copies sm keeping the time series of only the given
+// counters, as a trace from a tool that samples only those events.
+func keepSeries(sm *perf.SuiteMeasurement, keep []perf.Counter) *perf.SuiteMeasurement {
+	out := TotalsOnly(sm)
+	for i := range out.Workloads {
+		out.Workloads[i].Series.Interval = sm.Workloads[i].Series.Interval
+		for _, c := range keep {
+			out.Workloads[i].Series.Samples[c] = sm.Workloads[i].Series.Samples[c]
+		}
+	}
+	return out
+}
+
+// TestTrendNeedsOnlyTheGroupsSeries: whether the trend metric runs
+// depends on the scored group's counters alone. A trace that samples
+// only a group's counters scores that group exactly like the full
+// trace, and adding the series of a counter outside the group moves no
+// bit. Under every counter the same trace lacks series, so Trend is
+// skipped and the totals-based scores hold.
+func TestTrendNeedsOnlyTheGroupsSeries(t *testing.T) {
+	ctx := context.Background()
+	full := testMeasurement(t)
+	for _, g := range []perf.Group{perf.GroupLLC(), perf.GroupTLB()} {
+		opts := DefaultOptions()
+		opts.Counters = g.Counters
+		want, err := ScoreSuite(ctx, full, opts, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Trend == 0 {
+			t.Fatalf("%s: full trace scored no trend", g.Name)
+		}
+		for _, keep := range [][]perf.Counter{g.Counters, append([]perf.Counter{perf.CPUCycles}, g.Counters...)} {
+			got, err := ScoreSuite(ctx, keepSeries(full, keep), opts, nil)
+			if err != nil {
+				t.Fatalf("%s, series of %v: %v", g.Name, keep, err)
+			}
+			if got != want {
+				t.Fatalf("%s, series of %v only:\n  got  %+v\n  want %+v", g.Name, keep, got, want)
+			}
+		}
+	}
+
+	llcOnly := keepSeries(full, perf.GroupLLC().Counters)
+	all := scoreWith(t, full, nil)
+	got := scoreWith(t, llcOnly, nil)
+	if got.Trend != 0 || got.Cluster != all.Cluster || got.Coverage != all.Coverage || got.Spread != all.Spread {
+		t.Fatalf("LLC-only trace under every counter:\n  got  %+v\n  want %+v with Trend 0", got, all)
+	}
+}
+
+func TestMissingSeries(t *testing.T) {
+	full := testMeasurement(t)
+	if got := MissingSeries(full, perf.AllCounters()); len(got) != 0 {
+		t.Fatalf("full trace misses %v", got)
+	}
+	llcOnly := keepSeries(full, perf.GroupLLC().Counters)
+	if got := MissingSeries(llcOnly, perf.GroupLLC().Counters); len(got) != 0 {
+		t.Fatalf("LLC-only trace misses %v of the LLC group", got)
+	}
+	got := MissingSeries(llcOnly, []perf.Counter{perf.LLCLoads, perf.CPUCycles, perf.DTLBLoads})
+	if len(got) != 2 || got[0] != perf.CPUCycles || got[1] != perf.DTLBLoads {
+		t.Fatalf("MissingSeries = %v, want [cpu-cycles dTLB-loads]", got)
+	}
+	// A counter that one workload samples is present: scoring runs the
+	// trend metric, which refuses the workloads that lack it by name.
+	partial := keepSeries(full, perf.GroupLLC().Counters)
+	partial.Workloads[1].Series.Samples[perf.LLCLoads] = nil
+	if got := MissingSeries(partial, perf.GroupLLC().Counters); len(got) != 0 {
+		t.Fatalf("partly sampled counter reported missing: %v", got)
+	}
+	opts := DefaultOptions()
+	opts.Counters = perf.GroupLLC().Counters
+	_, err := ScoreSuite(context.Background(), partial, opts, nil)
+	if err == nil || !strings.Contains(err.Error(), partial.Workloads[1].Workload) {
+		t.Fatalf("partly sampled counter: err = %v, want one naming %q", err, partial.Workloads[1].Workload)
 	}
 }

@@ -162,12 +162,17 @@ type TimeSeries struct {
 // Series returns the delta series of counter c.
 func (ts *TimeSeries) Series(c Counter) []float64 { return ts.Samples[c] }
 
-// Len returns the number of samples.
+// Len returns the number of samples: the length of the sampled
+// counters' series (a valid measurement's are all one length), or 0
+// when no counter was sampled. A tool may sample only some events, so
+// no single counter stands for the rest.
 func (ts *TimeSeries) Len() int {
-	if len(ts.Samples) == 0 {
-		return 0
+	for _, s := range ts.Samples {
+		if len(s) > 0 {
+			return len(s)
+		}
 	}
-	return len(ts.Samples[0])
+	return 0
 }
 
 // Measurement is the full result of executing one workload: totals and
@@ -203,7 +208,8 @@ func (sm *SuiteMeasurement) Matrix(counters []Counter) [][]float64 {
 // suite is named, every workload is named, and within one workload every
 // counter that carries samples carries the same number of them. A
 // counter without samples is allowed (a trace may sample only some
-// counters; TrendScore reports the gap if it needs that counter).
+// counters; scoring skips TrendScore when the scored group needs one
+// that no workload samples, see metric.MissingSeries).
 func (sm *SuiteMeasurement) Validate() error {
 	if sm.Suite == "" {
 		return fmt.Errorf("perf: measurement has no suite name")

@@ -135,4 +135,11 @@ func TestTimeSeries(t *testing.T) {
 	if s := ts.Series(CPUCycles); len(s) != 3 || s[2] != 3 {
 		t.Fatalf("Series = %v", s)
 	}
+	// A trace that samples only some events, not cpu-cycles, still has
+	// samples.
+	var llc TimeSeries
+	llc.Samples[LLCLoadMisses] = []float64{4, 5}
+	if llc.Len() != 2 {
+		t.Fatalf("LLC-only Len = %d, want 2", llc.Len())
+	}
 }

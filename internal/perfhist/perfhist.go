@@ -1,20 +1,20 @@
-// Package perfhist turns the repository's benchmark trajectory into a
-// queryable subsystem. cmd/benchjson appends one Record per run to
-// BENCH_history.jsonl — an append-only JSONL log carrying the git SHA,
-// goos/goarch, go version and timestamp of every measurement — and this
-// package ingests that log, indexes it by benchmark name and commit,
-// and computes trend statistics over it:
+// Package perfhist owns the repository's benchmark-history log.
+// cmd/benchjson appends one Record per run to BENCH_history.jsonl — an
+// append-only JSONL log carrying the git SHA, goos/goarch, go version
+// and timestamp of every measurement — and this package ingests and
+// checks that log and judges runs against it:
 //
-//   - per-benchmark, per-commit aggregates (min/median/p90 ns_per_op,
-//     best/median simulated instr/sec across the runs of one SHA),
-//   - deltas between consecutive commits with a noise-aware regression
-//     verdict (the within-commit spread of repeated runs is the noise
-//     estimate the across-commit delta must clear),
-//   - a distribution gate: fail a fresh run that lands below a low
-//     percentile of the last K same-machine-class runs (Gate), and
-//   - a paired same-moment A/B comparator for interleaved best-of-N
-//     runs (Compare, in compare.go) — the primitive behind
+//   - Runs selects one benchmark's rows, filtered to one machine class;
+//   - Gate fails a fresh run that lands below a low percentile of the
+//     last K same-machine-class runs (`benchjson -check-history`);
+//   - CheckLog validates the committed log (`obscheck -bench-history`);
+//   - Compare, in compare.go, is the paired same-moment A/B comparator
+//     for interleaved best-of-N runs — the primitive behind
 //     `benchjson compare` and the CI regression gate.
+//
+// It draws no trend across commits: the log's records come from
+// different hosts, and cross-host wall time supports no claim. Only a
+// same-moment paired comparison does.
 //
 // The decoder follows the same torn-tail discipline as internal/store:
 // an append-only log's only crash corruption is a garbled or truncated
@@ -53,7 +53,7 @@ type Benchmark struct {
 }
 
 // Record is one benchjson run: build metadata plus every benchmark it
-// measured. Rounds and Note were added with the perf-history service;
+// measured. Rounds and Note were added after the first schema;
 // older history rows lack them and decode with zero values.
 type Record struct {
 	GeneratedAt time.Time `json:"generated_at"`
@@ -211,22 +211,6 @@ func Append(path string, rec Record) error {
 	return nil
 }
 
-// BenchNames returns every benchmark name seen in the history, in
-// first-seen order.
-func (h *History) BenchNames() []string {
-	var names []string
-	seen := make(map[string]bool)
-	for _, r := range h.Records {
-		for _, b := range r.Benchmarks {
-			if !seen[b.Name] {
-				seen[b.Name] = true
-				names = append(names, b.Name)
-			}
-		}
-	}
-	return names
-}
-
 // Runs returns the named benchmark's rows across the history, paired
 // with their records, in file order. Class filters to one machine
 // class when non-zero.
@@ -256,158 +240,6 @@ func shortSHA(sha string) string {
 		return sha[:12]
 	}
 	return sha
-}
-
-// TrendPoint aggregates one benchmark's runs at one commit. Repeated
-// runs of the same SHA are the noise sample: their spread is what a
-// cross-commit delta must clear to count as a real change.
-type TrendPoint struct {
-	GitSHA   string `json:"git_sha"`
-	ShortSHA string `json:"short_sha"`
-	// FirstAt/LastAt bound the runs folded into this point.
-	FirstAt time.Time `json:"first_at"`
-	LastAt  time.Time `json:"last_at"`
-	Runs    int       `json:"runs"`
-	// ns/op aggregates. Min is the headline (OS noise only ever slows a
-	// run down, so the fastest observation is the least contaminated).
-	MinNsPerOp    float64 `json:"min_ns_per_op"`
-	MedianNsPerOp float64 `json:"median_ns_per_op"`
-	P90NsPerOp    float64 `json:"p90_ns_per_op"`
-	// Simulated throughput aggregates (0 when the benchmark is not
-	// instruction-granular).
-	BestInstrPerSec   float64 `json:"best_instr_per_sec,omitempty"`
-	MedianInstrPerSec float64 `json:"median_instr_per_sec,omitempty"`
-	// Noise is the relative within-commit spread,
-	// (median − min) / min of ns/op — 0 for a single run.
-	Noise float64 `json:"noise"`
-}
-
-// Trend is one benchmark's trajectory across commits, oldest first.
-type Trend struct {
-	Name   string       `json:"name"`
-	Points []TrendPoint `json:"points"`
-	// Delta compares the newest point against the previous one; nil
-	// with fewer than two points.
-	Delta *Delta `json:"delta,omitempty"`
-}
-
-// Delta is a cross-commit comparison of two trend points through the
-// same noise-aware rule as the paired comparator: the relative change
-// of best-of ns/op must clear the combined within-commit noise plus
-// the minimum effect size to be called significant.
-type Delta struct {
-	FromSHA string `json:"from_sha"`
-	ToSHA   string `json:"to_sha"`
-	// RelNsPerOp is (to.Min − from.Min) / from.Min: positive = slower.
-	RelNsPerOp float64 `json:"rel_ns_per_op"`
-	// RelInstrPerSec is (to.Best − from.Best) / from.Best: negative =
-	// less throughput. 0 when either side lacks the figure.
-	RelInstrPerSec float64 `json:"rel_instr_per_sec,omitempty"`
-	// Noise is the band the delta must clear: the larger within-commit
-	// spread of the two points plus MinEffect.
-	Noise float64 `json:"noise"`
-	// Significant marks |RelNsPerOp| > Noise + MinEffect; Regressed
-	// additionally requires the slow direction.
-	Significant bool `json:"significant"`
-	Regressed   bool `json:"regressed"`
-}
-
-// Trends computes every benchmark's trajectory for one machine class
-// (zero Class folds all classes together — only useful for display,
-// never for gating). Points group runs by git SHA in first-seen order;
-// runs without a SHA group under "unknown".
-func (h *History) Trends(ctx context.Context, class Class) []Trend {
-	_, sp := obs.Start(ctx, "perfhist.trends")
-	defer sp.End()
-	var out []Trend
-	for _, name := range h.BenchNames() {
-		runs := h.Runs(name, class)
-		if len(runs) == 0 {
-			continue
-		}
-		t := Trend{Name: name, Points: trendPoints(runs)}
-		if n := len(t.Points); n >= 2 {
-			t.Delta = compareTrendPoints(t.Points[n-2], t.Points[n-1])
-		}
-		out = append(out, t)
-	}
-	sp.SetAttr("benchmarks", fmt.Sprint(len(out)))
-	return out
-}
-
-// trendPoints groups runs by SHA in first-seen order and aggregates
-// each group.
-func trendPoints(runs []Run) []TrendPoint {
-	var order []string
-	bySHA := make(map[string][]Run)
-	for _, r := range runs {
-		sha := r.Record.GitSHA
-		if sha == "" {
-			sha = "unknown"
-		}
-		if _, ok := bySHA[sha]; !ok {
-			order = append(order, sha)
-		}
-		bySHA[sha] = append(bySHA[sha], r)
-	}
-	out := make([]TrendPoint, 0, len(order))
-	for _, sha := range order {
-		out = append(out, aggregatePoint(sha, bySHA[sha]))
-	}
-	return out
-}
-
-func aggregatePoint(sha string, runs []Run) TrendPoint {
-	p := TrendPoint{GitSHA: sha, ShortSHA: shortSHA(sha), Runs: len(runs)}
-	ns := make([]float64, 0, len(runs))
-	var ips []float64
-	for _, r := range runs {
-		ns = append(ns, r.Bench.NsPerOp)
-		if r.Bench.SimulatedInstrPerSec > 0 {
-			ips = append(ips, r.Bench.SimulatedInstrPerSec)
-		}
-		at := r.Record.GeneratedAt
-		if p.FirstAt.IsZero() || at.Before(p.FirstAt) {
-			p.FirstAt = at
-		}
-		if at.After(p.LastAt) {
-			p.LastAt = at
-		}
-	}
-	sort.Float64s(ns)
-	p.MinNsPerOp = ns[0]
-	p.MedianNsPerOp = stat.Percentile(ns, 50)
-	p.P90NsPerOp = stat.Percentile(ns, 90)
-	if p.MinNsPerOp > 0 {
-		p.Noise = (p.MedianNsPerOp - p.MinNsPerOp) / p.MinNsPerOp
-	}
-	if len(ips) > 0 {
-		sort.Float64s(ips)
-		p.BestInstrPerSec = ips[len(ips)-1]
-		p.MedianInstrPerSec = stat.Percentile(ips, 50)
-	}
-	return p
-}
-
-// compareTrendPoints applies the noise-aware significance rule to two
-// commits' aggregates.
-func compareTrendPoints(from, to TrendPoint) *Delta {
-	d := &Delta{FromSHA: from.GitSHA, ToSHA: to.GitSHA}
-	if from.MinNsPerOp > 0 {
-		d.RelNsPerOp = (to.MinNsPerOp - from.MinNsPerOp) / from.MinNsPerOp
-	}
-	if from.BestInstrPerSec > 0 && to.BestInstrPerSec > 0 {
-		d.RelInstrPerSec = (to.BestInstrPerSec - from.BestInstrPerSec) / from.BestInstrPerSec
-	}
-	d.Noise = from.Noise
-	if to.Noise > d.Noise {
-		d.Noise = to.Noise
-	}
-	opt := DefaultCompareOptions()
-	band := opt.NoiseMult*d.Noise + opt.MinEffect
-	d.Significant = d.RelNsPerOp > band || d.RelNsPerOp < -band
-	d.Regressed = d.Significant && d.RelNsPerOp > 0
-	return d
 }
 
 // GateOptions tunes the history-distribution gate.

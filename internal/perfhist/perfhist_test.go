@@ -160,73 +160,39 @@ func TestLoadMissingFileIsEmpty(t *testing.T) {
 	}
 }
 
-func TestTrendsAggregatesAndDelta(t *testing.T) {
+func TestGateClassFilter(t *testing.T) {
 	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	// Three runs of SHA a (noisy: 100, 104, 120), then three of SHA b
-	// that are clearly slower (150, 151, 155) — far outside the band.
-	var recs []Record
-	for i, ns := range []float64{100, 104, 120} {
-		recs = append(recs, mkRecord("aaaaaaaaaaaaaaaa", base.Add(time.Duration(i)*time.Minute),
-			map[string][2]float64{"Bench": {ns, 1e9 / ns}}))
+	amd := Class{GOOS: "linux", GOARCH: "amd64"}
+	// Three amd64 runs interleaved with three arm64 runs of the same
+	// benchmark that are ten times faster.
+	var mixed, amdOnly []Record
+	for i, ips := range []float64{10e6, 11e6, 12e6} {
+		r := mkRecord("aaa", base.Add(time.Duration(2*i)*time.Minute), map[string][2]float64{"B": {100, ips}})
+		arm := mkRecord("aaa", base.Add(time.Duration(2*i+1)*time.Minute), map[string][2]float64{"B": {10, 100e6}})
+		arm.GOARCH = "arm64"
+		mixed = append(mixed, r, arm)
+		amdOnly = append(amdOnly, r)
 	}
-	for i, ns := range []float64{150, 151, 155} {
-		recs = append(recs, mkRecord("bbbbbbbbbbbbbbbb", base.Add(time.Hour+time.Duration(i)*time.Minute),
-			map[string][2]float64{"Bench": {ns, 1e9 / ns}}))
+	ctx := context.Background()
+	got := (&History{Records: mixed}).Gate(ctx, "B", amd, 10.5e6, GateOptions{})
+	want := (&History{Records: amdOnly}).Gate(ctx, "B", amd, 10.5e6, GateOptions{})
+	if got.ReferenceRuns != 3 {
+		t.Fatalf("reference runs = %d, want only the 3 amd64 runs: %+v", got.ReferenceRuns, got)
 	}
-	path := writeHistory(t, recs...)
-	h, err := Load(context.Background(), path)
-	if err != nil {
-		t.Fatal(err)
+	if got.Floor != want.Floor || got.Best != want.Best {
+		t.Fatalf("arm64 runs moved the amd64 gate: floor %g best %g, want %g %g",
+			got.Floor, got.Best, want.Floor, want.Best)
 	}
-	trends := h.Trends(context.Background(), Class{GOOS: "linux", GOARCH: "amd64"})
-	if len(trends) != 1 {
-		t.Fatalf("got %d trends, want 1", len(trends))
+	if !got.Pass || got.Inconclusive {
+		t.Fatalf("in-distribution amd64 run failed: %+v", got)
 	}
-	tr := trends[0]
-	if tr.Name != "Bench" || len(tr.Points) != 2 {
-		t.Fatalf("trend shape wrong: %+v", tr)
+	// The arm64 class sees only its own fast runs, so the same figure
+	// is a regression there.
+	if res := (&History{Records: mixed}).Gate(ctx, "B", Class{GOOS: "linux", GOARCH: "arm64"}, 10.5e6, GateOptions{}); res.Pass || res.ReferenceRuns != 3 {
+		t.Fatalf("arm64 gate: %+v", res)
 	}
-	p0 := tr.Points[0]
-	if p0.MinNsPerOp != 100 || p0.MedianNsPerOp != 104 || p0.Runs != 3 {
-		t.Fatalf("point 0 aggregates wrong: %+v", p0)
-	}
-	if p0.ShortSHA != "aaaaaaaaaaaa" {
-		t.Fatalf("short sha wrong: %q", p0.ShortSHA)
-	}
-	if p0.Noise <= 0.039 || p0.Noise >= 0.041 { // (104-100)/100
-		t.Fatalf("noise wrong: %v", p0.Noise)
-	}
-	if tr.Delta == nil {
-		t.Fatal("no delta with two points")
-	}
-	if !tr.Delta.Significant || !tr.Delta.Regressed {
-		t.Fatalf("50%% slowdown not flagged: %+v", tr.Delta)
-	}
-	if tr.Delta.RelNsPerOp < 0.49 || tr.Delta.RelNsPerOp > 0.51 {
-		t.Fatalf("delta wrong: %+v", tr.Delta)
-	}
-	if tr.Delta.RelInstrPerSec >= 0 {
-		t.Fatalf("throughput delta should be negative: %+v", tr.Delta)
-	}
-}
-
-func TestTrendsClassFilter(t *testing.T) {
-	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	lin := mkRecord("aaa", base, map[string][2]float64{"B": {100, 0}})
-	arm := mkRecord("aaa", base.Add(time.Minute), map[string][2]float64{"B": {500, 0}})
-	arm.GOARCH = "arm64"
-	path := writeHistory(t, lin, arm)
-	h, err := Load(context.Background(), path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trends := h.Trends(context.Background(), Class{GOOS: "linux", GOARCH: "amd64"})
-	if len(trends) != 1 || trends[0].Points[0].Runs != 1 || trends[0].Points[0].MinNsPerOp != 100 {
-		t.Fatalf("class filter leaked foreign runs: %+v", trends)
-	}
-	all := h.Trends(context.Background(), Class{})
-	if all[0].Points[0].Runs != 2 {
-		t.Fatalf("zero class should fold all: %+v", all)
+	if runs := (&History{Records: mixed}).Runs("B", Class{}); len(runs) != 6 {
+		t.Fatalf("zero class should select every run: got %d", len(runs))
 	}
 }
 
@@ -462,81 +428,5 @@ func TestCommittedHistoryIsClean(t *testing.T) {
 	defer f.Close()
 	if errs := CheckLog(f); len(errs) != 0 {
 		t.Fatalf("committed history invalid: %v", errs)
-	}
-}
-
-func TestServiceLiveReload(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "hist.jsonl")
-	svc := NewService(path)
-	ctx := context.Background()
-
-	// Missing file serves empty.
-	h, err := svc.History(ctx)
-	if err != nil || len(h.Records) != 0 {
-		t.Fatalf("missing file: %v %+v", err, h)
-	}
-
-	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	r1, _ := json.Marshal(mkRecord("aaa", base, map[string][2]float64{"B": {100, 0}}))
-	if err := os.WriteFile(path, append(r1, '\n'), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	h, err = svc.History(ctx)
-	if err != nil || len(h.Records) != 1 {
-		t.Fatalf("first load: %v %+v", err, h)
-	}
-
-	// Append a second record; the service must pick it up (size
-	// changed, even if mtime granularity is coarse).
-	r2, _ := json.Marshal(mkRecord("bbb", base.Add(time.Hour), map[string][2]float64{"B": {110, 0}}))
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write(append(r2, '\n')); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	h, err = svc.History(ctx)
-	if err != nil || len(h.Records) != 2 {
-		t.Fatalf("reload after append: %v, %d records", err, len(h.Records))
-	}
-
-	// Unchanged file returns the same *History (no reload).
-	h2, err := svc.History(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h2 != h {
-		t.Fatal("unchanged file was reloaded")
-	}
-
-	// Deleting the file drops back to empty rather than erroring.
-	if err := os.Remove(path); err != nil {
-		t.Fatal(err)
-	}
-	h, err = svc.History(ctx)
-	if err != nil || len(h.Records) != 0 {
-		t.Fatalf("after delete: %v %+v", err, h)
-	}
-}
-
-func TestBenchNamesFirstSeenOrder(t *testing.T) {
-	base := time.Date(2026, 8, 1, 0, 0, 0, 0, time.UTC)
-	r1 := Record{GeneratedAt: base, GOOS: "linux", GOARCH: "amd64", GoVersion: "go1.24",
-		Benchmarks: []Benchmark{{Name: "Z", NsPerOp: 1}, {Name: "A", NsPerOp: 1}}}
-	r2 := Record{GeneratedAt: base.Add(time.Minute), GOOS: "linux", GOARCH: "amd64", GoVersion: "go1.24",
-		Benchmarks: []Benchmark{{Name: "A", NsPerOp: 1}, {Name: "M", NsPerOp: 1}}}
-	h := &History{Records: []Record{r1, r2}}
-	got := h.BenchNames()
-	want := []string{"Z", "A", "M"}
-	if len(got) != len(want) {
-		t.Fatalf("got %v want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v want %v", got, want)
-		}
 	}
 }

@@ -28,10 +28,6 @@
 //	                             (chunks, scores, close, cancel routes
 //	                             under /api/v1/streams/{id} — see
 //	                             streams.go)
-//	GET    /api/v1/perf/history  raw benchmark-history records (with
-//	                             Config.PerfHist; see perfhist.go)
-//	GET    /api/v1/perf/trends   per-benchmark trend statistics
-//	GET    /perf                 embedded HTML performance dashboard
 //	GET    /healthz              liveness
 //	GET    /metrics              Prometheus-style text exposition
 //	GET    /debug/pprof/         only with Config.EnablePprof
@@ -58,7 +54,6 @@ import (
 	"perspector/internal/cache"
 	"perspector/internal/fleet"
 	"perspector/internal/jobs"
-	"perspector/internal/perfhist"
 	"perspector/internal/store"
 	"perspector/internal/suites"
 )
@@ -75,10 +70,6 @@ type Config struct {
 	Streams *jobs.StreamManager
 	// Cache, when set, feeds the cache hit/miss gauges of /metrics.
 	Cache *cache.Store
-	// PerfHist serves the benchmark-history endpoints (/api/v1/perf/*)
-	// and the /perf dashboard from a benchjson JSONL log; nil disables
-	// them.
-	PerfHist *perfhist.Service
 	// Log receives request logs; nil means slog.Default.
 	Log *slog.Logger
 	// EnablePprof mounts net/http/pprof under /debug/pprof/.
@@ -131,11 +122,6 @@ func New(cfg Config) *Server {
 		s.handle("GET /api/v1/streams/{id}/scores", s.handleStreamScores)
 		s.handle("POST /api/v1/streams/{id}/close", s.handleCloseStream)
 		s.handle("DELETE /api/v1/streams/{id}", s.handleCancelStream)
-	}
-	if cfg.PerfHist != nil {
-		s.handle("GET /api/v1/perf/history", s.handlePerfHistory)
-		s.handle("GET /api/v1/perf/trends", s.handlePerfTrends)
-		s.handle("GET /perf", s.handlePerfDashboard)
 	}
 	s.handle("GET /healthz", s.handleHealthz)
 	s.handle("GET /metrics", s.handleMetrics)
@@ -346,24 +332,6 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// excluded from the job's content key, so dedup is unaffected.
 	if req.RequestID == "" {
 		req.RequestID = requestIDFrom(r.Context())
-	}
-	// Reject undecodable uploads at submission time with a 400 — not
-	// minutes later as a failed job. The runner parses the same bytes
-	// with the same parser, so admit implies run.
-	if t := req.Trace; t != nil && len(t.Data) > 0 && len(t.Data) <= jobs.MaxTraceBytes {
-		probe := *t
-		if probe.Format == "" {
-			probe.Format = "json"
-		}
-		if probe.Name == "" {
-			probe.Name = "uploaded"
-		}
-		if probe.Format == "json" || probe.Format == "csv" {
-			if _, err := jobs.ParseTrace(&probe); err != nil {
-				s.writeError(w, http.StatusBadRequest, "trace upload does not parse: %v", err)
-				return
-			}
-		}
 	}
 	snap, deduped, err := s.cfg.Queue.Submit(req)
 	if errors.Is(err, jobs.ErrQueueFull) {

@@ -356,6 +356,17 @@ func TestPprofGating(t *testing.T) {
 	}
 }
 
+// TestPerfRoutesAbsentWithoutService pins that the server mounts no
+// benchmark-history dashboard: wall time from the history log's mixed
+// hosts supports no trend, so nothing serves one.
+func TestPerfRoutesAbsentWithoutService(t *testing.T) {
+	rec := httptest.NewRecorder()
+	server.New(server.Config{}).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/perf", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Fatalf("GET /perf = %d, want 404", rec.Code)
+	}
+}
+
 func TestMetricsExposition(t *testing.T) {
 	env := newEnv(t, stubRunner{}.run, jobs.Options{Workers: 1}, nil)
 	code, data := env.do(t, "POST", "/api/v1/jobs", scoreBody(1))
